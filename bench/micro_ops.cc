@@ -2,8 +2,8 @@
 // indexing per access, cache access, block control, full simulator
 // throughput, workload generation, and trace ingestion.
 //
-// main() first measures end-to-end scalar-vs-batched driver throughput
-// over every backend and writes BENCH_micro_ops.json (the "throughput" /
+// main() first measures end-to-end per-access-vs-batched driver
+// throughput over every backend and writes BENCH_micro_ops.json (the "throughput" /
 // "speedup" sections docs/PERFORMANCE.md describes and CI gates on),
 // then runs the microbenchmark registry.  The registry runs on Google
 // Benchmark when available (system library or fetched by CMake);
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "bank/banked_cache.h"
+#include "bank/decoder.h"
 #include "bench_common.h"
 #include "core/simulator.h"
 #include "trace/binary_trace.h"
@@ -34,16 +34,6 @@
 
 namespace pcal {
 namespace {
-
-BankedCacheConfig bc_config(IndexingKind kind, std::uint64_t banks) {
-  BankedCacheConfig c;
-  c.cache.size_bytes = 8192;
-  c.cache.line_bytes = 16;
-  c.partition.num_banks = banks;
-  c.indexing = kind;
-  c.breakeven_cycles = 32;
-  return c;
-}
 
 void BM_DecoderDecode(benchmark::State& state) {
   const auto kind = static_cast<IndexingKind>(state.range(0));
@@ -65,12 +55,17 @@ BENCHMARK(BM_DecoderDecode)
     ->Arg(static_cast<int>(IndexingKind::kScrambling));
 
 void BM_BankedCacheAccess(benchmark::State& state) {
-  BankedCache bc(bc_config(IndexingKind::kProbing,
-                           static_cast<std::uint64_t>(state.range(0))));
+  CacheTopology topo;
+  topo.cache.size_bytes = 8192;
+  topo.cache.line_bytes = 16;
+  topo.partition.num_banks = static_cast<std::uint64_t>(state.range(0));
+  topo.indexing = IndexingKind::kProbing;
+  topo.breakeven_cycles = 32;
+  const auto bc = make_managed_cache(topo);
   std::uint64_t x = 1;
   for (auto _ : state) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
-    benchmark::DoNotOptimize(bc.access((x >> 20) % 65536, (x & 1) != 0));
+    benchmark::DoNotOptimize(bc->access((x >> 20) % 65536, (x & 1) != 0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -162,12 +157,12 @@ void BM_PctReplay(benchmark::State& state) {
 BENCHMARK(BM_PctReplay)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
-// Scalar-vs-batched driver throughput: the measured accesses/sec win of
-// the batched struct-of-arrays hot path, recorded per backend, mode and
-// batch size.  Both modes run the SAME binary in the SAME process over
-// the SAME materialized trace — force_scalar_loop=true replays the
-// pre-batching per-access driver, so the speedup column is an honest
-// apples-to-apples ratio, not a cross-build comparison.
+// Per-access-vs-batched driver throughput: the measured accesses/sec win
+// of batching, recorded per backend, mode and batch size.  Both modes
+// run the SAME driver in the SAME process over the SAME materialized
+// trace — the "scalar" mode is batch_size = 1, one access per backend
+// call — so the speedup column is an honest apples-to-apples ratio, not
+// a cross-build comparison.
 
 struct ThroughputRow {
   const char* backend;  // monolithic | bank | way | line
@@ -220,9 +215,8 @@ std::pair<std::uint64_t, double> timed_runs(const Simulator& sim,
 
 ThroughputRow measure_throughput(const char* backend, const char* policy,
                                  const SimConfig& base, Trace& trace,
-                                 bool scalar, std::uint64_t batch_size) {
+                                 std::uint64_t batch_size) {
   SimConfig cfg = base;
-  cfg.force_scalar_loop = scalar;
   cfg.batch_size = batch_size;
   const Simulator sim(cfg);
   timed_runs(sim, trace, 0.05);  // warm caches / fault pages once
@@ -245,8 +239,8 @@ ThroughputRow measure_throughput(const char* backend, const char* policy,
   ThroughputRow row;
   row.backend = backend;
   row.policy = policy;
-  row.mode = scalar ? "scalar" : "batched";
-  row.batch_size = scalar ? 1 : batch_size;
+  row.mode = batch_size == 1 ? "scalar" : "batched";
+  row.batch_size = batch_size;
   row.accesses = best_reps * trace.size();
   row.wall_seconds = best_elapsed;
   row.accesses_per_second = best_rate;
@@ -283,9 +277,9 @@ int run_throughput_record() {
     const SimConfig cfg =
         throughput_config(v.granularity, v.policy, v.drowsy_window);
     const ThroughputRow scalar =
-        measure_throughput(v.backend, v.policy_name, cfg, trace, true, 1);
+        measure_throughput(v.backend, v.policy_name, cfg, trace, 1);
     const ThroughputRow batched =
-        measure_throughput(v.backend, v.policy_name, cfg, trace, false, 256);
+        measure_throughput(v.backend, v.policy_name, cfg, trace, 256);
     rows.push_back(scalar);
     rows.push_back(batched);
     speedups.emplace_back(
@@ -305,7 +299,7 @@ int run_throughput_record() {
       throughput_config(Granularity::kBank, PowerPolicy::kGated, 0);
   for (const std::uint64_t bs : {64ull, 4096ull})
     rows.push_back(
-        measure_throughput("bank", "gated", bank_cfg, trace, false, bs));
+        measure_throughput("bank", "gated", bank_cfg, trace, bs));
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - wall_start)
                           .count();

@@ -1,169 +1,25 @@
 #include "bank/banked_cache.h"
 
-#include <algorithm>
-
 namespace pcal {
+namespace {
+
+const BankedCacheConfig& validated(const BankedCacheConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
 
 BankedCache::BankedCache(const BankedCacheConfig& config)
-    : config_(config),
-      cache_(config.cache),
+    : LeafCache(validated(config).cache, config.partition.num_banks,
+                config.breakeven_cycles,
+                config.gate_cycles != 0 ? config.gate_cycles
+                                        : config.breakeven_cycles,
+                config.latency),
+      config_(config),
       decoder_(config.cache, config.partition,
                make_indexing_policy(config.indexing,
                                     config.partition.num_banks,
-                                    config.indexing_seed)),
-      block_control_(config.partition.num_banks, config.breakeven_cycles),
-      gate_cycles_(config.gate_cycles != 0 ? config.gate_cycles
-                                           : config.breakeven_cycles) {
-  config_.validate();
-}
-
-BankedAccessOutcome BankedCache::access(std::uint64_t address, bool is_write) {
-  return run_access(address, is_write, /*allocate=*/true);
-}
-
-BankedAccessOutcome BankedCache::run_access(std::uint64_t address,
-                                            bool is_write, bool allocate) {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  const std::uint64_t set_index = config_.cache.set_index_of(address);
-  const DecodedIndex d = decoder_.decode(set_index);
-
-  BankedAccessOutcome out;
-  out.logical_bank = d.logical_bank;
-  out.physical_bank = d.physical_bank;
-  out.woke_bank = block_control_.is_sleeping(d.physical_bank, cycle_);
-  out.wake =
-      classify_wake(out.woke_bank,
-                    block_control_.idle_gap(d.physical_bank, cycle_),
-                    gate_cycles_);
-
-  const std::uint64_t tag = config_.cache.tag_of(address);
-  const CacheAccessResult r =
-      allocate ? cache_.access(tag, d.physical_set, is_write, address)
-               : cache_.probe(tag, d.physical_set);
-  out.hit = r.hit;
-  out.writeback = r.writeback;
-  out.evicted = r.evicted;
-  out.victim_address = r.victim_address;
-  out.stall_cycles = config_.latency.event_stall(r.hit, out.wake);
-
-  block_control_.on_access(d.physical_bank, cycle_);
-  ++cycle_;
-  return out;
-}
-
-bool BankedCache::invalidate_line(std::uint64_t address) {
-  // The same decode as an access — same time-varying mapping — but a
-  // pure tag-store drop: no cycle, no Block Control touch, no stats.
-  const DecodedIndex d =
-      decoder_.decode(config_.cache.set_index_of(address));
-  return cache_.invalidate(config_.cache.tag_of(address), d.physical_set);
-}
-
-std::uint64_t BankedCache::update_indexing() {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  decoder_.update();
-  return cache_.flush();
-}
-
-void BankedCache::advance_idle(std::uint64_t cycles) {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  cycle_ += cycles;
-}
-
-void BankedCache::finish() {
-  if (finished_) return;
-  block_control_.finish(cycle_);
-  finished_ = true;
-}
-
-double BankedCache::bank_residency(std::uint64_t bank) const {
-  PCAL_ASSERT_MSG(finished_, "call finish() first");
-  return block_control_.sleep_residency(bank, cycle_);
-}
-
-AccessOutcome BankedCache::do_probe(std::uint64_t address) {
-  const BankedAccessOutcome b =
-      run_access(address, /*is_write=*/false, /*allocate=*/false);
-  AccessOutcome out;
-  out.hit = b.hit;
-  out.logical_unit = b.logical_bank;
-  out.physical_unit = b.physical_bank;
-  out.woke_unit = b.woke_bank;
-  out.wake = b.wake;
-  out.stall_cycles = b.stall_cycles;
-  return out;
-}
-
-AccessOutcome BankedCache::do_access(std::uint64_t address, bool is_write) {
-  const BankedAccessOutcome b = access(address, is_write);
-  AccessOutcome out;
-  out.hit = b.hit;
-  out.writeback = b.writeback;
-  out.logical_unit = b.logical_bank;
-  out.physical_unit = b.physical_bank;
-  out.woke_unit = b.woke_bank;
-  out.wake = b.wake;
-  out.stall_cycles = b.stall_cycles;
-  out.evicted = b.evicted;
-  out.victim_address = b.victim_address;
-  return out;
-}
-
-// Batched hot loop, two stages per chunk: (1) tag extraction and the
-// bank decoder's f() mapping for the whole chunk — the mapping only
-// moves on update_indexing(), which the driver never fires mid-batch —
-// then (2) power bookkeeping and the tag-store access per element.  One
-// invariant check per batch, Block Control via the assert-free
-// record_access, and outcome fields written straight into the caller's
-// array (no BankedAccessOutcome -> AccessOutcome conversion).  Each
-// access's stall self-advances the clock, so every statistic matches
-// the scalar path bit for bit.
-std::uint64_t BankedCache::do_access_batch(const MemAccess* accesses,
-                                           std::size_t n, AccessOutcome* out) {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  constexpr std::size_t kChunk = 256;
-  std::uint64_t tags[kChunk];
-  DecodedIndex d[kChunk];
-  const std::uint64_t breakeven = block_control_.breakeven_cycles();
-  std::uint64_t stalls = 0;
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t m = std::min(kChunk, n - base);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint64_t address = accesses[base + j].address;
-      tags[j] = config_.cache.tag_of(address);
-      d[j] = decoder_.decode(config_.cache.set_index_of(address));
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint64_t address = accesses[base + j].address;
-      const bool is_write = accesses[base + j].kind == AccessKind::kWrite;
-      AccessOutcome& o = out[base + j];
-      const std::uint64_t bank = d[j].physical_bank;
-      const std::uint64_t nf = block_control_.next_free(bank);
-      const std::uint64_t gap = cycle_ >= nf ? cycle_ - nf : 0;
-      o.woke_unit = cycle_ >= nf && gap >= breakeven;
-      o.wake = classify_wake(o.woke_unit, gap, gate_cycles_);
-      const CacheAccessResult r =
-          cache_.access(tags[j], d[j].physical_set, is_write, address);
-      o.hit = r.hit;
-      o.writeback = r.writeback;
-      o.evicted = r.evicted;
-      o.victim_address = r.victim_address;
-      o.logical_unit = d[j].logical_bank;
-      o.physical_unit = bank;
-      o.stall_cycles = config_.latency.event_stall(r.hit, o.wake);
-      o.num_events = 0;
-      o.add_event(0, r.hit, r.writeback, bank, address);
-      block_control_.record_access(bank, cycle_);
-      cycle_ += 1 + o.stall_cycles;
-      stalls += o.stall_cycles;
-    }
-  }
-  return stalls;
-}
-
-UnitActivity BankedCache::unit_activity(std::uint64_t unit) const {
-  PCAL_ASSERT_MSG(finished_, "call finish() first");
-  return unit_activity_from(block_control_, unit);
-}
+                                    config.indexing_seed)) {}
 
 }  // namespace pcal

@@ -10,12 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "bank/block_control.h"
 #include "bank/decoder.h"
-#include "cache/cache.h"
-#include "core/managed_cache.h"
+#include "core/leaf_cache.h"
 
 namespace pcal {
 
@@ -41,96 +38,31 @@ struct BankedCacheConfig {
   }
 };
 
-struct BankedAccessOutcome {
-  bool hit = false;
-  bool writeback = false;
-  std::uint64_t logical_bank = 0;
-  std::uint64_t physical_bank = 0;
-  /// True if this access had to wake the bank from retention (it was
-  /// sleeping in the previous cycle) — costs a transition.
-  bool woke_bank = false;
-  /// How deep the bank was sleeping, and what the event stalls beyond
-  /// its base cycle (see core/timing.h).
-  WakeDepth wake = WakeDepth::kAwake;
-  std::uint64_t stall_cycles = 0;
-  /// A valid line was evicted; its line-aligned address.
-  bool evicted = false;
-  std::uint64_t victim_address = 0;
-};
-
-class BankedCache : public ManagedCache {
+class BankedCache final : public LeafCache<BankedCache> {
  public:
   explicit BankedCache(const BankedCacheConfig& config);
 
-  /// Simulates one access at the next cycle.  Returns the outcome.
-  /// (Native entry point; hides ManagedCache::access, which forwards here
-  /// and converts the outcome to the unified struct.)
-  BankedAccessOutcome access(std::uint64_t address, bool is_write);
-
-  /// Fires the update signal: advances f() and flushes the cache.
-  /// Returns the number of dirty lines the flush wrote back.
-  std::uint64_t update_indexing() override;
-
-  /// Advances time with no access (every bank idles those cycles).
-  void advance_idle(std::uint64_t cycles) override;
-
-  /// Finalizes idle-interval bookkeeping; call when the trace ends.
-  void finish() override;
-
   // ---- component access ----
   const BankedCacheConfig& config() const { return config_; }
-  const CacheModel& cache() const { return cache_; }
   const BankDecoder& decoder() const { return decoder_; }
-  const BlockControl& block_control() const { return block_control_; }
   const IndexingPolicy& policy() const { return decoder_.policy(); }
 
-  /// Cycles simulated so far (== accesses consumed).
-  std::uint64_t cycles() const override { return cycle_; }
-  std::uint64_t indexing_updates() const override {
-    return policy().updates();
-  }
-
-  /// Sleep residency of a physical bank over the whole simulated time.
-  double bank_residency(std::uint64_t bank) const;
-
-  // ManagedCache (units are banks):
-  std::uint64_t num_units() const override {
-    return config_.partition.num_banks;
-  }
-  double unit_residency(std::uint64_t unit) const override {
-    return bank_residency(unit);
-  }
-  const CacheStats& stats() const override { return cache_.stats(); }
-  UnitActivity unit_activity(std::uint64_t unit) const override;
-  const IntervalAccumulator& unit_intervals(
-      std::uint64_t unit) const override {
-    PCAL_ASSERT_MSG(finished_, "call finish() first");
-    return block_control_.intervals(unit);
-  }
-  UnitPowerState unit_state(std::uint64_t unit) const override {
-    return unit_state_from(block_control_, unit, cycle_, gate_cycles_);
-  }
-  bool set_alloc_way_mask(std::uint64_t mask) override {
-    cache_.set_alloc_way_mask(mask);
-    return true;
-  }
-  bool invalidate_line(std::uint64_t address) override;
-
  private:
-  AccessOutcome do_access(std::uint64_t address, bool is_write) override;
-  AccessOutcome do_probe(std::uint64_t address) override;
-  std::uint64_t do_access_batch(const MemAccess* accesses, std::size_t n,
-                                AccessOutcome* out) override;
-  BankedAccessOutcome run_access(std::uint64_t address, bool is_write,
-                                 bool allocate);
+  friend class LeafCache<BankedCache>;
+
+  /// p-MSB bank select through the time-varying f(); units are banks.
+  /// The tag is taken before the out-of-line decoder call, which lets
+  /// the compiler share the geometry arithmetic with set_index_of.
+  LeafIndex decode(std::uint64_t address) const {
+    const std::uint64_t tag = config_.cache.tag_of(address);
+    const DecodedIndex d =
+        decoder_.decode(config_.cache.set_index_of(address));
+    return {tag, d.physical_set, d.logical_bank, d.physical_bank};
+  }
+  void remap() { decoder_.update(); }
 
   BankedCacheConfig config_;
-  CacheModel cache_;
   BankDecoder decoder_;
-  BlockControl block_control_;
-  std::uint64_t gate_cycles_;  // resolved: 0-sentinel -> breakeven
-  std::uint64_t cycle_ = 0;
-  bool finished_ = false;
 };
 
 }  // namespace pcal

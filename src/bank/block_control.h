@@ -130,7 +130,7 @@ class BlockControl {
   const IntervalAccumulator& intervals(std::uint64_t bank) const;
 
  private:
-  /// Bounds-checked read of the next_free column (the scalar-path view).
+  /// Bounds-checked read of the next_free column (the query-API view).
   std::uint64_t at(std::uint64_t bank) const {
     PCAL_ASSERT_MSG(bank < next_free_.size(), "bank out of range");
     return next_free_[bank];

@@ -2,18 +2,24 @@
 
 #include <algorithm>
 
-#include "util/lfsr.h"
-
 namespace pcal {
+namespace {
+
+const LineManagedConfig& validated(const LineManagedConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
 
 LineManagedCache::LineManagedCache(const LineManagedConfig& config)
-    : config_(config),
-      cache_(config.cache),
-      num_sets_(config.cache.num_sets()),
-      gate_cycles_(config.gate_cycles != 0 ? config.gate_cycles
-                                           : config.breakeven_cycles),
-      control_(config.cache.num_sets(), config.breakeven_cycles) {
-  config_.validate();
+    : LeafCache(validated(config).cache, config.cache.num_sets(),
+                config.breakeven_cycles,
+                config.gate_cycles != 0 ? config.gate_cycles
+                                        : config.breakeven_cycles,
+                config.latency),
+      config_(config),
+      num_sets_(config.cache.num_sets()) {
   if (config_.indexing == IndexingKind::kScrambling) {
     const unsigned width =
         std::min(24u, config_.cache.index_bits() + 8u);
@@ -21,70 +27,7 @@ LineManagedCache::LineManagedCache(const LineManagedConfig& config)
   }
 }
 
-std::uint64_t LineManagedCache::map_set(std::uint64_t logical_set) const {
-  switch (config_.indexing) {
-    case IndexingKind::kStatic:
-      return logical_set;
-    case IndexingKind::kProbing:
-      return (logical_set + rotation_) & (num_sets_ - 1);
-    case IndexingKind::kScrambling:
-      return (logical_set ^ xor_pattern_) & (num_sets_ - 1);
-  }
-  return logical_set;
-}
-
-LineAccessOutcome LineManagedCache::access(std::uint64_t address,
-                                           bool is_write) {
-  return run_access(address, is_write, /*allocate=*/true);
-}
-
-LineAccessOutcome LineManagedCache::run_access(std::uint64_t address,
-                                               bool is_write,
-                                               bool allocate) {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  LineAccessOutcome out;
-  out.logical_set = config_.cache.set_index_of(address);
-  out.physical_set = map_set(out.logical_set);
-  out.woke_line = control_.is_sleeping(out.physical_set, cycle_);
-  out.wake = classify_wake(out.woke_line,
-                           control_.idle_gap(out.physical_set, cycle_),
-                           gate_cycles_);
-  const std::uint64_t tag = config_.cache.tag_of(address);
-  const CacheAccessResult r =
-      allocate ? cache_.access(tag, out.physical_set, is_write, address)
-               : cache_.probe(tag, out.physical_set);
-  out.hit = r.hit;
-  out.writeback = r.writeback;
-  out.evicted = r.evicted;
-  out.victim_address = r.victim_address;
-  out.stall_cycles = config_.latency.event_stall(r.hit, out.wake);
-  control_.on_access(out.physical_set, cycle_);
-  ++cycle_;
-  return out;
-}
-
-AccessOutcome LineManagedCache::do_probe(std::uint64_t address) {
-  const LineAccessOutcome l =
-      run_access(address, /*is_write=*/false, /*allocate=*/false);
-  AccessOutcome out;
-  out.hit = l.hit;
-  out.logical_unit = l.logical_set;
-  out.physical_unit = l.physical_set;
-  out.woke_unit = l.woke_line;
-  out.wake = l.wake;
-  out.stall_cycles = l.stall_cycles;
-  return out;
-}
-
-bool LineManagedCache::invalidate_line(std::uint64_t address) {
-  // Same full-index mapping as an access, pure tag-store drop.
-  const std::uint64_t set =
-      map_set(config_.cache.set_index_of(address));
-  return cache_.invalidate(config_.cache.tag_of(address), set);
-}
-
-std::uint64_t LineManagedCache::update_indexing() {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
+void LineManagedCache::remap() {
   switch (config_.indexing) {
     case IndexingKind::kStatic:
       break;
@@ -95,97 +38,6 @@ std::uint64_t LineManagedCache::update_indexing() {
       xor_pattern_ = lfsr_->step() & (num_sets_ - 1);
       break;
   }
-  ++updates_;
-  return cache_.flush();
-}
-
-void LineManagedCache::advance_idle(std::uint64_t cycles) {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  cycle_ += cycles;
-}
-
-void LineManagedCache::finish() {
-  if (finished_) return;
-  control_.finish(cycle_);
-  finished_ = true;
-}
-
-double LineManagedCache::line_residency(std::uint64_t line) const {
-  PCAL_ASSERT_MSG(finished_, "call finish() first");
-  return control_.sleep_residency(line, cycle_);
-}
-
-AccessOutcome LineManagedCache::do_access(std::uint64_t address,
-                                          bool is_write) {
-  const LineAccessOutcome l = access(address, is_write);
-  AccessOutcome out;
-  out.hit = l.hit;
-  out.writeback = l.writeback;
-  out.logical_unit = l.logical_set;
-  out.physical_unit = l.physical_set;
-  out.woke_unit = l.woke_line;
-  out.wake = l.wake;
-  out.stall_cycles = l.stall_cycles;
-  out.evicted = l.evicted;
-  out.victim_address = l.victim_address;
-  return out;
-}
-
-// Batched hot loop: logical set, physical set (the full-index mapping is
-// constant within a batch — rotation only moves on update_indexing())
-// and tag are precomputed per chunk, then power bookkeeping runs before
-// the tag-store touch per element, matching the scalar path's order
-// (wake classification at the pre-access cycle).  One invariant check
-// per batch; stalls self-advance the clock; bit-identical statistics.
-std::uint64_t LineManagedCache::do_access_batch(const MemAccess* accesses,
-                                                std::size_t n,
-                                                AccessOutcome* out) {
-  PCAL_ASSERT_MSG(!finished_, "cache already finished");
-  constexpr std::size_t kChunk = 256;
-  std::uint64_t tags[kChunk];
-  std::uint64_t logical[kChunk];
-  std::uint64_t physical[kChunk];
-  const std::uint64_t breakeven = control_.breakeven_cycles();
-  std::uint64_t stalls = 0;
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t m = std::min(kChunk, n - base);
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint64_t address = accesses[base + j].address;
-      tags[j] = config_.cache.tag_of(address);
-      logical[j] = config_.cache.set_index_of(address);
-      physical[j] = map_set(logical[j]);
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint64_t address = accesses[base + j].address;
-      const bool is_write = accesses[base + j].kind == AccessKind::kWrite;
-      AccessOutcome& o = out[base + j];
-      const std::uint64_t line = physical[j];
-      const std::uint64_t nf = control_.next_free(line);
-      const std::uint64_t gap = cycle_ >= nf ? cycle_ - nf : 0;
-      o.woke_unit = cycle_ >= nf && gap >= breakeven;
-      o.wake = classify_wake(o.woke_unit, gap, gate_cycles_);
-      const CacheAccessResult r =
-          cache_.access(tags[j], line, is_write, address);
-      o.hit = r.hit;
-      o.writeback = r.writeback;
-      o.evicted = r.evicted;
-      o.victim_address = r.victim_address;
-      o.logical_unit = logical[j];
-      o.physical_unit = line;
-      o.stall_cycles = config_.latency.event_stall(r.hit, o.wake);
-      o.num_events = 0;
-      o.add_event(0, r.hit, r.writeback, line, address);
-      control_.record_access(line, cycle_);
-      cycle_ += 1 + o.stall_cycles;
-      stalls += o.stall_cycles;
-    }
-  }
-  return stalls;
-}
-
-UnitActivity LineManagedCache::unit_activity(std::uint64_t unit) const {
-  PCAL_ASSERT_MSG(finished_, "call finish() first");
-  return unit_activity_from(control_, unit);
 }
 
 }  // namespace pcal

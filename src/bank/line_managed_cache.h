@@ -15,9 +15,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "bank/block_control.h"
-#include "cache/cache.h"
-#include "core/managed_cache.h"
+#include "core/leaf_cache.h"
 #include "indexing/index_policy.h"
 #include "util/lfsr.h"
 
@@ -43,77 +41,39 @@ struct LineManagedConfig {
   void validate() const { cache.validate(); }
 };
 
-struct LineAccessOutcome {
-  bool hit = false;
-  bool writeback = false;
-  std::uint64_t logical_set = 0;
-  std::uint64_t physical_set = 0;
-  bool woke_line = false;
-  /// Wake depth and stall of this event (core/timing.h).
-  WakeDepth wake = WakeDepth::kAwake;
-  std::uint64_t stall_cycles = 0;
-  /// A valid line was evicted; its line-aligned address.
-  bool evicted = false;
-  std::uint64_t victim_address = 0;
-};
-
-class LineManagedCache : public ManagedCache {
+class LineManagedCache final : public LeafCache<LineManagedCache> {
  public:
   explicit LineManagedCache(const LineManagedConfig& config);
 
-  /// Native entry point (hides ManagedCache::access, which forwards here).
-  LineAccessOutcome access(std::uint64_t address, bool is_write);
-
-  /// Advances the full-index rotation and flushes.  Returns dirty lines.
-  std::uint64_t update_indexing() override;
-
-  /// Advances time with no access (every line idles those cycles).
-  void advance_idle(std::uint64_t cycles) override;
-
-  void finish() override;
-
   const LineManagedConfig& config() const { return config_; }
-  const CacheModel& cache() const { return cache_; }
-  const BlockControl& line_control() const { return control_; }
-  std::uint64_t cycles() const override { return cycle_; }
-  std::uint64_t num_units() const override { return num_sets_; }
 
-  /// Sleep residency of one physical line over the simulated time.
-  /// (avg/min_residency come from the ManagedCache defaults.)
-  double line_residency(std::uint64_t line) const;
-
-  // ManagedCache (units are lines):
-  double unit_residency(std::uint64_t unit) const override {
-    return line_residency(unit);
-  }
-  const CacheStats& stats() const override { return cache_.stats(); }
-  std::uint64_t indexing_updates() const override { return updates_; }
-  UnitActivity unit_activity(std::uint64_t unit) const override;
-  const IntervalAccumulator& unit_intervals(
-      std::uint64_t unit) const override {
-    PCAL_ASSERT_MSG(finished_, "call finish() first");
-    return control_.intervals(unit);
-  }
-  UnitPowerState unit_state(std::uint64_t unit) const override {
-    return unit_state_from(control_, unit, cycle_, gate_cycles_);
-  }
-
-  bool invalidate_line(std::uint64_t address) override;
+  /// Per-line management keeps no way-organized unit to mask.
+  bool set_alloc_way_mask(std::uint64_t /*mask*/) override { return false; }
 
  private:
-  AccessOutcome do_access(std::uint64_t address, bool is_write) override;
-  AccessOutcome do_probe(std::uint64_t address) override;
-  std::uint64_t do_access_batch(const MemAccess* accesses, std::size_t n,
-                                AccessOutcome* out) override;
-  LineAccessOutcome run_access(std::uint64_t address, bool is_write,
-                               bool allocate);
+  friend class LeafCache<LineManagedCache>;
 
-  std::uint64_t map_set(std::uint64_t logical_set) const;
+  /// The full-index mapping; units are physical lines (sets).
+  LeafIndex decode(std::uint64_t address) const {
+    const std::uint64_t logical = config_.cache.set_index_of(address);
+    const std::uint64_t physical = map_set(logical);
+    return {config_.cache.tag_of(address), physical, logical, physical};
+  }
+  std::uint64_t map_set(std::uint64_t logical_set) const {
+    switch (config_.indexing) {
+      case IndexingKind::kStatic:
+        return logical_set;
+      case IndexingKind::kProbing:
+        return (logical_set + rotation_) & (num_sets_ - 1);
+      case IndexingKind::kScrambling:
+        return (logical_set ^ xor_pattern_) & (num_sets_ - 1);
+    }
+    return logical_set;
+  }
+  void remap();
 
   LineManagedConfig config_;
-  CacheModel cache_;
   std::uint64_t num_sets_;
-  std::uint64_t gate_cycles_;  // resolved: 0-sentinel -> breakeven
   // Full-index rotation state: a counter for probing, an LFSR pattern for
   // scrambling (reusing IndexingPolicy with M = num_sets would demand
   // pow-2 <= 16 banks; lines need the general form, so the small state
@@ -121,10 +81,6 @@ class LineManagedCache : public ManagedCache {
   std::uint64_t rotation_ = 0;
   std::unique_ptr<GaloisLfsr> lfsr_;
   std::uint64_t xor_pattern_ = 0;
-  std::uint64_t updates_ = 0;
-  BlockControl control_;
-  std::uint64_t cycle_ = 0;
-  bool finished_ = false;
 };
 
 }  // namespace pcal

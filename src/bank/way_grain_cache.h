@@ -17,72 +17,50 @@
 
 #include <cstdint>
 
-#include "bank/block_control.h"
 #include "bank/decoder.h"
-#include "cache/cache.h"
-#include "core/managed_cache.h"
+#include "core/leaf_cache.h"
 
 namespace pcal {
 
-class WayGrainCache final : public ManagedCache {
+class WayGrainCache final : public LeafCache<WayGrainCache> {
  public:
-  explicit WayGrainCache(const CacheTopology& topology);
-
-  // ManagedCache (units are (physical bank, way) pairs, numbered
-  // bank * W + way):
-  std::uint64_t update_indexing() override;
-  void advance_idle(std::uint64_t cycles) override;
-  void finish() override;
-  std::uint64_t cycles() const override { return cycle_; }
-  std::uint64_t num_units() const override {
-    return num_banks_ * ways_;
-  }
-  double unit_residency(std::uint64_t unit) const override;
-  const CacheStats& stats() const override { return cache_.stats(); }
-  std::uint64_t indexing_updates() const override {
-    return decoder_.policy().updates();
-  }
-  UnitActivity unit_activity(std::uint64_t unit) const override;
-  const IntervalAccumulator& unit_intervals(
-      std::uint64_t unit) const override {
-    PCAL_ASSERT_MSG(finished_, "call finish() first");
-    return control_.intervals(unit);
-  }
-  UnitPowerState unit_state(std::uint64_t unit) const override {
-    return unit_state_from(control_, unit, cycle_, gate_cycles_);
-  }
-
-  bool set_alloc_way_mask(std::uint64_t mask) override {
-    cache_.set_alloc_way_mask(mask);
-    return true;
-  }
-
-  bool invalidate_line(std::uint64_t address) override;
+  // Units are (physical bank, way) pairs, numbered bank * W + way.
+  // make_managed_cache validates the topology before construction.
+  explicit WayGrainCache(const CacheTopology& topology)
+      : LeafCache(topology.cache,
+                  topology.partition.num_banks * topology.cache.ways,
+                  topology.breakeven_cycles, topology.gate_cycles(),
+                  topology.latency),
+        decoder_(topology.cache, topology.partition,
+                 make_indexing_policy(topology.indexing,
+                                      topology.partition.num_banks,
+                                      topology.indexing_seed)),
+        ways_(topology.cache.ways) {}
 
   // ---- component access ----
-  const CacheModel& cache() const { return cache_; }
   const BankDecoder& decoder() const { return decoder_; }
-  const BlockControl& way_control() const { return control_; }
   std::uint64_t ways() const { return ways_; }
 
  private:
-  AccessOutcome do_access(std::uint64_t address, bool is_write) override;
-  AccessOutcome do_probe(std::uint64_t address) override;
-  std::uint64_t do_access_batch(const MemAccess* accesses, std::size_t n,
-                                AccessOutcome* out) override;
-  AccessOutcome run_access(std::uint64_t address, bool is_write,
-                           bool allocate);
+  friend class LeafCache<WayGrainCache>;
 
-  CacheConfig config_;
-  CacheModel cache_;
+  /// The banked decode; the way is only known once the tag store has
+  /// served the access (the hitting way, or the LRU victim), so unit_of
+  /// finishes the attribution.  A probe miss touches no way: CacheModel
+  /// reports way 0, so its cost lands on the set's first way-column.
+  LeafIndex decode(std::uint64_t address) const {
+    const CacheConfig& cc = cache_.config();
+    const std::uint64_t tag = cc.tag_of(address);  // see BankedCache
+    const DecodedIndex d = decoder_.decode(cc.set_index_of(address));
+    return {tag, d.physical_set, d.logical_bank, d.physical_bank};
+  }
+  std::uint64_t unit_of(std::uint64_t bank, std::uint64_t way) const {
+    return bank * ways_ + way;
+  }
+  void remap() { decoder_.update(); }
+
   BankDecoder decoder_;
-  std::uint64_t num_banks_;
   std::uint64_t ways_;
-  BlockControl control_;
-  LatencyParams latency_;
-  std::uint64_t gate_cycles_;
-  std::uint64_t cycle_ = 0;
-  bool finished_ = false;
 };
 
 }  // namespace pcal

@@ -502,6 +502,10 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
     } else if (e.key == "accesses") {
       spec.accesses_ = parse_number(e.value, e.where);
       if (spec.accesses_ == 0) fail(e.where, "accesses must be positive");
+      if (spec.accesses_ > kMaxAccesses)
+        fail(e.where, "accesses must be at most " +
+                          std::to_string(kMaxAccesses) +
+                          " (the clock bound, docs/ROBUSTNESS.md)");
     } else if (e.key == "footprint") {
       spec.footprint_bytes_ = parse_number(e.value, e.where);
       if (spec.footprint_bytes_ == 0)
@@ -929,6 +933,7 @@ std::vector<GridJob> GridSpec::expand(std::uint64_t num_accesses) const {
     asmb.set("llc_banks", std::to_string(llc_banks_));
     asmb.set("llc_breakeven", std::to_string(llc_breakeven_));
     asmb.set("llc_ways", std::to_string(llc_ways_));
+    asmb.set("accesses", std::to_string(num_accesses));
     for (std::size_t i = 0; i < axes_.size(); ++i) {
       const std::string& value = axes_[i].values[odometer[i]];
       job.coords.push_back(value);

@@ -179,9 +179,9 @@ class HierarchicalCache final : public ManagedCache {
   // No do_access_batch override: each access's route depends on the tag
   // state the previous one left behind (hits absorb, misses fill and
   // evict downward), so a hierarchy cannot pre-decode a batch.  The
-  // inherited default replays access_batch through this routed scalar
-  // path — batched callers stay correct, each *level's* backend keeps
-  // its own batched loop for single-level use.
+  // inherited default replays access_batch through this routed
+  // per-access path — batched callers stay correct, each *level's*
+  // backend keeps its own batch loop for single-level use.
   AccessOutcome do_access(std::uint64_t address, bool is_write) override;
   AccessOutcome do_probe(std::uint64_t address) override;
   const Level& level_of_unit(std::uint64_t unit, std::uint64_t* local) const;

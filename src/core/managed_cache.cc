@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "bank/banked_cache.h"
-#include "bank/block_control.h"
 #include "bank/line_managed_cache.h"
 #include "bank/way_grain_cache.h"
 #include "core/drowsy_cache.h"
@@ -75,27 +74,6 @@ double ManagedCache::min_residency() const {
   for (std::uint64_t i = 1; i < n; ++i)
     lo = std::min(lo, unit_residency(i));
   return lo;
-}
-
-UnitActivity unit_activity_from(const BlockControl& control,
-                                std::uint64_t unit) {
-  UnitActivity a;
-  a.accesses = control.accesses(unit);
-  a.sleep_cycles = control.sleep_cycles(unit);
-  a.sleep_episodes = control.sleep_episodes(unit);
-  a.useful_idleness_count = control.useful_idleness_count(unit);
-  a.drowsy_cycles = 0;
-  a.gated_episodes = a.sleep_episodes;
-  return a;
-}
-
-UnitPowerState unit_state_from(const BlockControl& control,
-                               std::uint64_t unit, std::uint64_t cycle,
-                               std::uint64_t gate_cycles) {
-  const std::uint64_t gap = control.idle_gap(unit, cycle);
-  if (gap < control.breakeven_cycles()) return UnitPowerState::kAwake;
-  if (gap >= gate_cycles) return UnitPowerState::kGated;
-  return UnitPowerState::kDrowsy;
 }
 
 namespace {

@@ -13,11 +13,12 @@
 // line.  All residency / activity queries are per-unit; aggregate helpers
 // are derived from them.
 //
-// Concrete backends keep their richer native APIs (BankedCache exposes its
-// decoder, LineManagedCache its rotation state); the interface uses the
-// non-virtual-interface pattern for access() so those native entry points
-// — which predate this API and return backend-specific outcome structs —
-// stay intact.
+// Every backend has exactly one per-access body.  The four leaf backends
+// (monolithic, bank, way, line) share it through LeafCache
+// (core/leaf_cache.h) and only describe their address mapping; the
+// composites (DrowsyHybridCache, HierarchicalCache) forward to the
+// leaves they own.  access(), probe() and access_batch() are the only
+// entry points, all three behind the non-virtual interface below.
 //
 // ## Ownership, thread-safety and determinism (the API contract)
 //
@@ -116,9 +117,8 @@ struct AccessOutcome {
   /// lower level consumes.
   bool evicted = false;
   std::uint64_t victim_address = 0;
-  /// Per-level event trace (see LevelEvent).  Backends leave it empty;
-  /// the access()/probe() wrappers synthesize the single level 0 event,
-  /// and route_access overwrites it with the full chain.
+  /// Per-level event trace (see LevelEvent): a leaf backend records its
+  /// single level 0 event, route_access the full chain.
   std::uint8_t num_events = 0;
   LevelEvent events[kMaxTraceLevels];
 
@@ -245,14 +245,12 @@ class ManagedCache {
  public:
   virtual ~ManagedCache() = default;
 
-  /// Simulates one access at the next cycle (non-virtual interface; the
-  /// backends' native access methods remain available on the concrete
-  /// types).
+  /// Simulates one access at the next cycle.  The access consumes its
+  /// one base cycle; its stall_cycles are the caller's to apply (with
+  /// advance_idle), which is what lets a hierarchy stretch every level's
+  /// clock by the whole routed stall.
   AccessOutcome access(std::uint64_t address, bool is_write) {
-    AccessOutcome out = do_access(address, is_write);
-    if (out.num_events == 0)
-      out.add_event(0, out.hit, out.writeback, out.physical_unit, address);
-    return out;
+    return do_access(address, is_write);
   }
 
   /// Simulates one lookup at the next cycle *without allocating on a
@@ -263,10 +261,7 @@ class ManagedCache {
   /// probe path (core/hierarchy.h): the probed line, if found,
   /// conceptually moves up rather than filling this level.
   AccessOutcome probe(std::uint64_t address) {
-    AccessOutcome out = do_probe(address);
-    if (out.num_events == 0)
-      out.add_event(0, out.hit, out.writeback, out.physical_unit, address);
-    return out;
+    return do_probe(address);
   }
 
   /// Simulates `n` accesses in one call, writing one outcome per access
@@ -277,17 +272,14 @@ class ManagedCache {
   ///
   /// — each access's stall advances the clock before the next access is
   /// served, so sleep/wake classification, statistics and residencies
-  /// are bit-identical to the scalar loop at every batch size.  The
-  /// default does exactly that loop (every backend is correct from day
-  /// one); the concrete backends override do_access_batch with batched
-  /// implementations over their struct-of-arrays unit state.  One
-  /// caveat for `out` reuse across calls: entries of events[] at and
-  /// past num_events are unspecified (the scalar path zero-fills them,
-  /// the batched paths may leave stale data).
+  /// are bit-identical to the per-access loop at every batch size.  The
+  /// default does exactly that loop (the composites use it); the leaf
+  /// backends run the same per-access body over a pre-decoded chunk.
+  /// One caveat for `out` reuse across calls: entries of events[] at
+  /// and past num_events are unspecified.
   ///
-  /// Returns the batch's summed stall_cycles — accumulated in-register
-  /// by the batched backends, so the driver's clock never has to re-read
-  /// the strided outcome array.
+  /// Returns the batch's summed stall_cycles, so the driver's clock
+  /// never has to re-read the strided outcome array.
   std::uint64_t access_batch(const MemAccess* accesses, std::size_t n,
                              AccessOutcome* out) {
     return do_access_batch(accesses, n, out);
@@ -339,8 +331,8 @@ class ManagedCache {
   /// the interval observer samples for the power-state timeline.  Valid
   /// at any point of the run (unlike the post-finish() activity
   /// queries).  The default covers backends with no idleness tracking;
-  /// every concrete backend derives the state from its Block Control
-  /// idle gap via unit_state_from below.
+  /// every leaf backend derives the state from its Block Control idle
+  /// gap (LeafCache::unit_state).
   virtual UnitPowerState unit_state(std::uint64_t /*unit*/) const {
     return UnitPowerState::kAwake;
   }
@@ -367,8 +359,8 @@ class ManagedCache {
   virtual AccessOutcome do_probe(std::uint64_t address) = 0;
 
   /// Batched access body behind access_batch().  The default loops over
-  /// the scalar NVI path — correct for every backend, including
-  /// composites (hierarchies route level by level, so they inherit it).
+  /// access() — the composites' path (hierarchies route level by level,
+  /// so they inherit it).
   virtual std::uint64_t do_access_batch(const MemAccess* accesses,
                                         std::size_t n, AccessOutcome* out) {
     std::uint64_t stalls = 0;
@@ -389,23 +381,5 @@ class ManagedCache {
 /// ConfigError on invalid topologies.
 std::unique_ptr<ManagedCache> make_managed_cache(
     const CacheTopology& topology);
-
-class BlockControl;
-
-/// Extracts one unit's activity from a BlockControl.  Every backend
-/// tracks idleness with one; this is the shared unit_activity() body.
-/// Pure-gated semantics: all sleep is gated (drowsy_cycles = 0,
-/// gated_episodes = sleep_episodes).
-UnitActivity unit_activity_from(const BlockControl& control,
-                                std::uint64_t unit);
-
-/// Classifies one unit's instantaneous state from its Block Control idle
-/// gap at `cycle`: below the control's breakeven it is awake, at or past
-/// `gate_cycles` it has power-gated, in between it is drowsy.  The shared
-/// unit_state() body of every backend (gate_cycles == breakeven — the
-/// pure gated policy — never yields kDrowsy).
-UnitPowerState unit_state_from(const BlockControl& control,
-                               std::uint64_t unit, std::uint64_t cycle,
-                               std::uint64_t gate_cycles);
 
 }  // namespace pcal

@@ -9,63 +9,25 @@
 
 #include <cstdint>
 
-#include "bank/block_control.h"
-#include "cache/cache.h"
-#include "core/managed_cache.h"
+#include "core/leaf_cache.h"
 
 namespace pcal {
 
-class MonolithicCache final : public ManagedCache {
+class MonolithicCache final : public LeafCache<MonolithicCache> {
  public:
-  explicit MonolithicCache(const CacheTopology& topology);
-
-  // ManagedCache:
-  std::uint64_t update_indexing() override;
-  void advance_idle(std::uint64_t cycles) override;
-  void finish() override;
-  std::uint64_t cycles() const override { return cycle_; }
-  std::uint64_t num_units() const override { return 1; }
-  double unit_residency(std::uint64_t unit) const override;
-  const CacheStats& stats() const override { return cache_.stats(); }
-  std::uint64_t indexing_updates() const override { return updates_; }
-  UnitActivity unit_activity(std::uint64_t unit) const override;
-  const IntervalAccumulator& unit_intervals(
-      std::uint64_t unit) const override {
-    PCAL_ASSERT_MSG(finished_, "call finish() first");
-    return control_.intervals(unit);
-  }
-  UnitPowerState unit_state(std::uint64_t unit) const override {
-    return unit_state_from(control_, unit, cycle_, gate_cycles_);
-  }
-
-  bool set_alloc_way_mask(std::uint64_t mask) override {
-    cache_.set_alloc_way_mask(mask);
-    return true;
-  }
-
-  bool invalidate_line(std::uint64_t address) override {
-    const CacheConfig& cc = cache_.config();
-    return cache_.invalidate(cc.tag_of(address), cc.set_index_of(address));
-  }
-
-  const CacheModel& cache() const { return cache_; }
-  const BlockControl& block_control() const { return control_; }
+  // CacheModel validates the geometry and BlockControl the breakeven.
+  explicit MonolithicCache(const CacheTopology& topology)
+      : LeafCache(topology.cache, 1, topology.breakeven_cycles,
+                  topology.gate_cycles(), topology.latency) {}
 
  private:
-  AccessOutcome do_access(std::uint64_t address, bool is_write) override;
-  AccessOutcome do_probe(std::uint64_t address) override;
-  std::uint64_t do_access_batch(const MemAccess* accesses, std::size_t n,
-                                AccessOutcome* out) override;
-  AccessOutcome run_access(std::uint64_t address, bool is_write,
-                           bool allocate);
+  friend class LeafCache<MonolithicCache>;
 
-  CacheModel cache_;
-  BlockControl control_;
-  LatencyParams latency_;
-  std::uint64_t gate_cycles_;
-  std::uint64_t cycle_ = 0;
-  std::uint64_t updates_ = 0;
-  bool finished_ = false;
+  /// Identity mapping: the plain set index, unit 0.
+  LeafIndex decode(std::uint64_t address) const {
+    const CacheConfig& cc = cache_.config();
+    return {cc.tag_of(address), cc.set_index_of(address), 0, 0};
+  }
 };
 
 }  // namespace pcal

@@ -14,7 +14,7 @@ namespace {
 
 /// Accesses fetched per TraceSource::next_batch call (the Simulator's
 /// batch size — same consumption order at one core).  The engine stays
-/// on the scalar access() path: the round-robin IPC interleave serves
+/// on the per-access access() path: the round-robin IPC interleave serves
 /// one access per core per slot, and the shared LLC's way-mask swaps
 /// between cores mid-stream, so no core ever owns a long enough
 /// uninterrupted run for ManagedCache::access_batch to apply.

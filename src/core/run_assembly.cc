@@ -1,5 +1,6 @@
 #include "core/run_assembly.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/enum_strings.h"
@@ -57,6 +58,38 @@ bool parse_config_bool(const std::string& s, const std::string& where) {
   throw ParseError(where + ": '" + s + "' is not a boolean");
 }
 
+namespace {
+
+/// `value` if it is at most `bound`, else a ConfigError naming `where`.
+std::uint64_t at_most(std::uint64_t value, std::uint64_t bound,
+                      const std::string& where) {
+  if (value > bound)
+    throw ConfigError(where + ": " + std::to_string(value) +
+                      " exceeds the bound " + std::to_string(bound) +
+                      " that keeps the clock below 2^63 cycles");
+  return value;
+}
+
+/// The most stall cycles one access can cost at one level: the larger
+/// event latency, the deeper wakeup, and each finite resource's longest
+/// wait — a port is held port_cycles, an MSHR mshr_latency, and the
+/// downstream edge two line transfers (a fill plus its posted
+/// writeback).
+std::uint64_t worst_level_stall(const CacheTopology& topo) {
+  const LatencyParams& l = topo.latency;
+  const ContentionParams& c = topo.contention;
+  std::uint64_t stall = std::max(l.hit_cycles, l.miss_cycles) +
+                        std::max(l.drowsy_wake_cycles, l.gated_wake_cycles);
+  if (c.ports > 0) stall += c.port_cycles;
+  if (c.mshrs > 0) stall += c.mshr_latency_cycles;
+  if (c.bytes_per_cycle > 0)
+    stall += 2 * ((topo.cache.line_bytes + c.bytes_per_cycle - 1) /
+                  c.bytes_per_cycle);
+  return stall;
+}
+
+}  // namespace
+
 int core_workload_index(const std::string& key) {
   if (!starts_with(key, "core")) return -1;
   const std::size_t us = key.find('_');
@@ -76,6 +109,9 @@ bool RunAssembly::set_level(LevelStage& level, const std::string& suffix,
                             const std::string& value,
                             const std::string& where) {
   const auto number = [&] { return parse_config_number(value, where); };
+  const auto cycles = [&] {
+    return at_most(number(), kMaxLatencyCycles, where);
+  };
   if (suffix == "size")
     level.size = number();
   else if (suffix == "line")
@@ -95,13 +131,13 @@ bool RunAssembly::set_level(LevelStage& level, const std::string& suffix,
   else if (suffix == "drowsy_window")
     level.drowsy_window = number();
   else if (suffix == "hit_latency")
-    level.hit_latency = number();
+    level.hit_latency = cycles();
   else if (suffix == "miss_latency")
-    level.miss_latency = number();
+    level.miss_latency = cycles();
   else if (suffix == "drowsy_wake")
-    level.drowsy_wake = number();
+    level.drowsy_wake = cycles();
   else if (suffix == "gated_wake")
-    level.gated_wake = number();
+    level.gated_wake = cycles();
   else if (suffix == "mshrs")
     level.mshrs = number();
   else if (suffix == "ports")
@@ -119,6 +155,9 @@ void RunAssembly::set(const std::string& key, const std::string& value,
                       const std::string& where) {
   const auto number = [&] { return parse_config_number(value, where); };
   const auto real = [&] { return parse_config_real(value, where); };
+  const auto cycles = [&] {
+    return at_most(number(), kMaxLatencyCycles, where);
+  };
   // ---- flat L1/global keys (the legacy sweep-axis vocabulary) ----
   if (key == "cache_size")
     config.cache.size_bytes = number();
@@ -137,13 +176,13 @@ void RunAssembly::set(const std::string& key, const std::string& value,
   else if (key == "seed")
     config.indexing_seed = number();
   else if (key == "hit_latency")
-    config.latency.hit_cycles = number();
+    config.latency.hit_cycles = cycles();
   else if (key == "miss_latency")
-    config.latency.miss_cycles = number();
+    config.latency.miss_cycles = cycles();
   else if (key == "drowsy_wake")
-    config.latency.drowsy_wake_cycles = number();
+    config.latency.drowsy_wake_cycles = cycles();
   else if (key == "gated_wake")
-    config.latency.gated_wake_cycles = number();
+    config.latency.gated_wake_cycles = cycles();
   else if (key == "mshrs")
     config.contention.mshrs = number();
   else if (key == "ports")
@@ -151,9 +190,9 @@ void RunAssembly::set(const std::string& key, const std::string& value,
   else if (key == "bandwidth")
     config.contention.bytes_per_cycle = number();
   else if (key == "mshr_latency")
-    config.contention.mshr_latency_cycles = number();
+    config.contention.mshr_latency_cycles = cycles();
   else if (key == "port_cycles")
-    config.contention.port_cycles = number();
+    config.contention.port_cycles = cycles();
   else if (key == "energy_drowsy_leak")
     config.energy_params.drowsy_leak_fraction = real();
   else if (key == "energy_gated_leak")
@@ -205,7 +244,7 @@ void RunAssembly::set(const std::string& key, const std::string& value,
   else if (key == "workload")
     workload_ = value;
   else if (key == "accesses") {
-    accesses_ = number();
+    accesses_ = at_most(number(), kMaxAccesses, where);
     if (accesses_ == 0)
       throw ParseError(where + ": accesses must be positive");
   } else if (key == "footprint") {
@@ -334,6 +373,12 @@ RunAssembly::Assembled RunAssembly::assemble() const {
 
   cfg.validate();
 
+  // Cycles one access can take through the whole machine: its base
+  // cycle plus the worst stall of every level it can reference.
+  std::uint64_t worst_access = 1 + worst_level_stall(cfg.topology(1));
+  for (const LevelConfig& level : cfg.enabled_lower_levels())
+    worst_access += worst_level_stall(level.topology);
+
   Assembled out;
   out.config = cfg;
   out.cores = cores_;
@@ -355,7 +400,14 @@ RunAssembly::Assembled RunAssembly::assemble() const {
         make_multicore(cfg, cores_, llc, llc_ways_per_core_);
     mc.validate();
     out.multicore = std::move(mc);
+    worst_access += worst_level_stall(llc.topology);
   }
+  const std::uint64_t streams = std::max<std::uint64_t>(cores_, 1);
+  PCAL_CONFIG_CHECK(
+      accesses_ <= kMaxClockCycles / worst_access / streams,
+      "accesses = " << accesses_ << " on " << streams
+                    << " stream(s) at up to " << worst_access
+                    << " cycles per access could pass 2^63 cycles");
   return out;
 }
 

@@ -36,6 +36,16 @@
 
 namespace pcal {
 
+/// Bounds that keep every run's clock below 2^63 cycles, so no stall
+/// or cycle count can wrap (docs/ROBUSTNESS.md, "Clock bounds").  Every
+/// latency-like key (hit/miss latencies and wakeup costs at any level,
+/// mshr_latency, port_cycles) is at most kMaxLatencyCycles, `accesses`
+/// at most kMaxAccesses, and assemble() checks the whole machine's
+/// worst case against kMaxClockCycles.
+constexpr std::uint64_t kMaxLatencyCycles = std::uint64_t{1} << 20;
+constexpr std::uint64_t kMaxAccesses = std::uint64_t{1} << 32;
+constexpr std::uint64_t kMaxClockCycles = std::uint64_t{1} << 63;
+
 /// Unsigned integer with an optional k/M byte multiplier ("8k" = 8192).
 /// Throws ParseError("<where>: ...") on anything else.
 std::uint64_t parse_config_number(const std::string& s,
@@ -82,8 +92,11 @@ class RunAssembly {
   /// Builds the configs from the staged state, in the sweep grid's
   /// order: lower levels are appended (L2 then L3, zero size = absent),
   /// the result validated, then — when cores > 0 — the shared LLC is
-  /// built and the MultiCoreConfig assembled and validated.  Throws
-  /// ConfigError / ParseError on invalid combinations.
+  /// built and the MultiCoreConfig assembled and validated.  Last, the
+  /// clock budget: accesses (per core) times the most cycles one access
+  /// can take through the whole machine must stay within
+  /// kMaxClockCycles.  Throws ConfigError / ParseError on invalid
+  /// combinations.
   Assembled assemble() const;
 
   // ---- run-level staged values (not part of the SimConfig) ----

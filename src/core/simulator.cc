@@ -11,9 +11,6 @@
 namespace pcal {
 namespace {
 
-/// Accesses fetched per TraceSource::next_batch call in the scalar loop.
-constexpr std::size_t kBatchSize = 256;
-
 /// Ceiling on SimConfig::batch_size: caps the driver's per-batch staging
 /// buffers (MemAccess + AccessOutcome) at a few MB.
 constexpr std::uint64_t kMaxDriverBatch = 1 << 16;
@@ -209,8 +206,8 @@ SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
   // charges (no free MSHR / port / bandwidth slot) is folded into the
   // stall that stretches the clock — so residencies, leakage pricing and
   // the total == accesses + stalls invariant all see one consistent
-  // timeline.  With all-unlimited params the model is disabled and the
-  // loop below is the legacy path bit for bit.
+  // timeline.  With all-unlimited params the model is disabled and
+  // charges nothing.
   std::vector<ContentionLevelShape> shapes;
   shapes.reserve(hconfig.levels.size());
   for (const LevelConfig& level : hconfig.levels)
@@ -256,9 +253,9 @@ SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
   std::uint64_t since_boundary = 0;
   std::uint64_t boundary_index = 0;
 
-  // Everything that happens at an update/observer boundary, shared by
-  // both loop flavours below: fire the re-indexing update while budget
-  // remains, then hand the observer its snapshot.
+  // Everything that happens at an update/observer boundary: fire the
+  // re-indexing update while budget remains, then hand the observer its
+  // snapshot.
   const auto on_boundary = [&]() {
     since_boundary = 0;
     ++boundary_index;
@@ -285,70 +282,53 @@ SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
     }
   };
 
-  // Two flavours of the same loop.  The scalar path replays one access
-  // at a time — required when contention is on (each access's level
-  // trace arbitrates for resources at its own position on the stretched
-  // clock) and available as a measured baseline via force_scalar_loop.
-  // The batched path hands whole runs of accesses to the backend's
-  // struct-of-arrays loop, splitting exactly at boundaries so updates
-  // and snapshots land on the same access positions; outcomes,
-  // statistics and residencies are bit-identical between the two (the
-  // clock-agreement assert below and tests/batched_access_test.cc pin
-  // it).
-  const bool scalar_loop = config_.force_scalar_loop || contention.enabled();
-  if (scalar_loop) {
-    MemAccess batch[kBatchSize];
-    for (;;) {
-      const std::size_t n = source.next_batch(batch, kBatchSize);
-      if (n == 0) break;
-      for (std::size_t i = 0; i < n; ++i) {
-        const AccessOutcome out = cache->access(
-            batch[i].address, batch[i].kind == AccessKind::kWrite);
-        std::uint64_t stall = out.stall_cycles;
-        if (contention.enabled()) {
-          // Replay the access's level trace through the resource model at
-          // its position on the stretched clock; latency stalls land
-          // before resource arbitration (the fill is in flight while the
-          // core stalls), and each event sees the stalls charged so far.
-          const std::uint64_t now = timing.total_cycles();
-          for (std::uint8_t e = 0; e < out.num_events; ++e) {
-            const LevelEvent& le = out.events[e];
-            ContentionEvent ev;
-            ev.level = le.level;
-            ev.unit = le.unit;
-            ev.address = le.address;
-            ev.miss = !le.hit;
-            ev.writeback = le.writeback;
-            stall += contention.on_event(ev, now + stall).total();
-          }
+  // One loop: whole runs of accesses go to the backend's batch entry
+  // point, split exactly at boundaries so updates and snapshots land on
+  // the same access positions at every batch size (the clock-agreement
+  // assert below and tests/batched_access_test.cc pin it).  Contention
+  // runs hand over one access at a time: the backend has already applied
+  // that access's latency stall to its clock, its level events then
+  // replay through the resource model at their position on the
+  // stretched clock — latency stalls land before resource arbitration
+  // (the fill is in flight while the core stalls), and each event sees
+  // the stalls charged so far — and the resource stall advances every
+  // unit's clock on top.
+  const std::size_t batch_size = static_cast<std::size_t>(
+      std::min<std::uint64_t>(std::max<std::uint64_t>(config_.batch_size, 1),
+                              kMaxDriverBatch));
+  const std::size_t max_take = contention.enabled() ? 1 : batch_size;
+  std::vector<MemAccess> buf(batch_size);
+  std::vector<AccessOutcome> outs(max_take);
+  for (;;) {
+    const std::size_t n = source.next_batch(buf.data(), batch_size);
+    if (n == 0) break;
+    std::size_t pos = 0;
+    while (pos < n) {
+      std::size_t take = std::min(n - pos, max_take);
+      if (interval != 0)
+        take = std::min<std::uint64_t>(take, interval - since_boundary);
+      std::uint64_t stalls =
+          cache->access_batch(buf.data() + pos, take, outs.data());
+      if (contention.enabled()) {
+        const std::uint64_t now = timing.total_cycles();
+        std::uint64_t extra = 0;
+        for (std::uint8_t e = 0; e < outs[0].num_events; ++e) {
+          const LevelEvent& le = outs[0].events[e];
+          ContentionEvent ev;
+          ev.level = le.level;
+          ev.unit = le.unit;
+          ev.address = le.address;
+          ev.miss = !le.hit;
+          ev.writeback = le.writeback;
+          extra += contention.on_event(ev, now + stalls + extra).total();
         }
-        if (stall != 0) cache->advance_idle(stall);
-        timing.on_access(stall);
-        if (interval != 0 && ++since_boundary >= interval) on_boundary();
+        if (extra != 0) cache->advance_idle(extra);
+        stalls += extra;
       }
-    }
-  } else {
-    const std::size_t batch_size = static_cast<std::size_t>(
-        std::min<std::uint64_t>(std::max<std::uint64_t>(config_.batch_size,
-                                                        1),
-                                kMaxDriverBatch));
-    std::vector<MemAccess> buf(batch_size);
-    std::vector<AccessOutcome> outs(batch_size);
-    for (;;) {
-      const std::size_t n = source.next_batch(buf.data(), batch_size);
-      if (n == 0) break;
-      std::size_t pos = 0;
-      while (pos < n) {
-        std::size_t take = n - pos;
-        if (interval != 0)
-          take = std::min<std::uint64_t>(take, interval - since_boundary);
-        const std::uint64_t stalls =
-            cache->access_batch(buf.data() + pos, take, outs.data());
-        timing.on_batch(take, stalls);
-        pos += take;
-        since_boundary += take;
-        if (interval != 0 && since_boundary >= interval) on_boundary();
-      }
+      timing.on_batch(take, stalls);
+      pos += take;
+      since_boundary += take;
+      if (interval != 0 && since_boundary >= interval) on_boundary();
     }
   }
   cache->finish();

@@ -101,20 +101,15 @@ struct SimConfig {
   /// fractions (bench/drowsy_comparison.cc does).
   bool force_unit_pricing = false;
 
-  /// Accesses handed to ManagedCache::access_batch per call on the
-  /// batched hot path (clamped to [1, 65536] by the driver).  The
-  /// driver splits batches at re-indexing / observer boundaries, so
-  /// every batch size produces bit-identical results — this knob is
-  /// purely about throughput.
+  /// Accesses fetched from the trace and handed to
+  /// ManagedCache::access_batch per call (clamped to [1, 65536] by the
+  /// driver).  The driver splits batches at re-indexing / observer
+  /// boundaries, so every batch size produces bit-identical results —
+  /// this knob is purely about throughput, and 1 is the per-access
+  /// baseline.  Runs with contention enabled hand the backend one access
+  /// at a time whatever this says: each access's level events arbitrate
+  /// for resources at its own position on the stretched clock.
   std::uint64_t batch_size = 256;
-
-  /// Baseline / diagnostic knob: drive the run through the scalar
-  /// access() loop even where the batched path applies.  Runs with
-  /// contention enabled always take the scalar loop (resource events
-  /// replay one access at a time on the stretched clock).  Results are
-  /// bit-identical either way; bench/micro_ops.cc uses this to measure
-  /// the batching win.
-  bool force_scalar_loop = false;
 
   /// The lower levels that are actually enabled (non-zero-sized).
   std::vector<LevelConfig> enabled_lower_levels() const;

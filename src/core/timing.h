@@ -98,8 +98,8 @@ class TimingModel {
   }
 
   /// Records `n` consumed accesses with `stall_cycles` total stalls in
-  /// one step — numerically identical to n on_access calls, so the
-  /// batched driver loop lands on the same clock as the scalar one.
+  /// one step — numerically identical to n on_access calls, so every
+  /// batch size lands on the same clock.
   void on_batch(std::uint64_t n, std::uint64_t stall_cycles) {
     accesses_ += n;
     stall_cycles_ += stall_cycles;

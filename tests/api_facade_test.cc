@@ -85,6 +85,40 @@ TEST(RunConfigTest, ValidateResolvesWorkloads) {
   EXPECT_EQ(issues[0].key, "core1_workload");
 }
 
+TEST(RunConfigTest, ValidateBoundsTheClock) {
+  // A latency past the bound would wrap the 64-bit clock; every
+  // latency-like key and `accesses` are refused by name.
+  RunConfig rc = small_config();
+  rc.set("miss_latency", "18446744073709551615")
+      .set("l2_hit_latency", std::to_string(kMaxLatencyCycles + 1))
+      .set("port_cycles", "4611686018427387904")
+      .set("accesses", std::to_string(kMaxAccesses + 1));
+  std::vector<ConfigIssue> issues = rc.validate();
+  ASSERT_EQ(issues.size(), 4u);
+  EXPECT_EQ(issues[0].key, "miss_latency");
+  EXPECT_EQ(issues[1].key, "l2_hit_latency");
+  EXPECT_EQ(issues[2].key, "port_cycles");
+  EXPECT_EQ(issues[3].key, "accesses");
+  EXPECT_NE(issues[0].reason.find("2^63"), std::string::npos);
+
+  // At the bound itself the key is accepted.
+  RunConfig edge = small_config();
+  edge.set("miss_latency", std::to_string(kMaxLatencyCycles));
+  EXPECT_TRUE(edge.validate().empty());
+
+  // In-bound keys whose product could still pass 2^63 — every access
+  // stalling the bandwidth-bound fill of a huge line — are caught on
+  // the assembled whole.
+  RunConfig whole;
+  whole.set("cache_size", "2048M").set("line_size", "1024M").set("ways", "1")
+      .set("banks", "1").set("bandwidth", "1")
+      .set("accesses", std::to_string(kMaxAccesses));
+  issues = whole.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].key, "");
+  EXPECT_NE(issues[0].reason.find("2^63"), std::string::npos);
+}
+
 TEST(ApiRunTest, MatchesHandAssembledSimulatorRun) {
   const RunConfig rc = small_config();
   const api::RunOutput out = api::run(rc);

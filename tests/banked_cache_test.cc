@@ -24,8 +24,8 @@ TEST(BankedCache, HitsAndBankRouting) {
   const std::uint64_t addr = (2u << 11) | 0x30;
   auto r1 = bc.access(addr, false);
   EXPECT_FALSE(r1.hit);
-  EXPECT_EQ(r1.logical_bank, 2u);
-  EXPECT_EQ(r1.physical_bank, 2u);
+  EXPECT_EQ(r1.logical_unit, 2u);
+  EXPECT_EQ(r1.physical_unit, 2u);
   auto r2 = bc.access(addr, false);
   EXPECT_TRUE(r2.hit);
   EXPECT_EQ(bc.cycles(), 2u);
@@ -44,13 +44,13 @@ TEST(BankedCache, UpdateFlushesContents) {
 TEST(BankedCache, RemapMovesPhysicalBank) {
   BankedCache bc(config_8k(IndexingKind::kProbing));
   const std::uint64_t addr = (1u << 11);  // logical bank 1
-  EXPECT_EQ(bc.access(addr, false).physical_bank, 1u);
+  EXPECT_EQ(bc.access(addr, false).physical_unit, 1u);
   bc.update_indexing();
-  EXPECT_EQ(bc.access(addr, false).physical_bank, 2u);
+  EXPECT_EQ(bc.access(addr, false).physical_unit, 2u);
   bc.update_indexing();
   bc.update_indexing();
   bc.update_indexing();  // 4 updates: back to identity
-  EXPECT_EQ(bc.access(addr, false).physical_bank, 1u);
+  EXPECT_EQ(bc.access(addr, false).physical_unit, 1u);
 }
 
 TEST(BankedCache, StaticPartitionPreservesMissBehaviour) {
@@ -97,11 +97,11 @@ TEST(BankedCache, WokeBankFlag) {
   BankedCache bc(cfg);
   const std::uint64_t bank0 = 0x0;
   const std::uint64_t bank1 = 1u << 11;
-  EXPECT_FALSE(bc.access(bank1, false).woke_bank);  // cycle 0: nothing slept
+  EXPECT_FALSE(bc.access(bank1, false).woke_unit);  // cycle 0: nothing slept
   for (int i = 0; i < 10; ++i) bc.access(bank0, false);
   // Bank 1 idle for 10 cycles > breakeven 4: next access wakes it.
-  EXPECT_TRUE(bc.access(bank1, false).woke_bank);
-  EXPECT_FALSE(bc.access(bank1, false).woke_bank);
+  EXPECT_TRUE(bc.access(bank1, false).woke_unit);
+  EXPECT_FALSE(bc.access(bank1, false).woke_unit);
 }
 
 TEST(BankedCache, ResidencyAccounting) {
@@ -111,9 +111,9 @@ TEST(BankedCache, ResidencyAccounting) {
   // 1000 accesses, all to bank 0: banks 1-3 idle the whole time.
   for (int i = 0; i < 1000; ++i) bc.access(0x10, false);
   bc.finish();
-  EXPECT_NEAR(bc.bank_residency(0), 0.0, 1e-9);
+  EXPECT_NEAR(bc.unit_residency(0), 0.0, 1e-9);
   for (std::uint64_t b = 1; b < 4; ++b)
-    EXPECT_NEAR(bc.bank_residency(b), (1000.0 - 10.0) / 1000.0, 1e-9);
+    EXPECT_NEAR(bc.unit_residency(b), (1000.0 - 10.0) / 1000.0, 1e-9);
   EXPECT_THROW(bc.access(0x10, false), Error);  // finished
 }
 

@@ -1,10 +1,10 @@
-// Batched-vs-scalar equivalence: ManagedCache::access_batch and the
-// Simulator's batched driver loop must reproduce the scalar access()
-// path bit for bit — same outcomes, same SimResult, same per-unit
-// interval histograms, same timeline artifact — for every backend,
-// granularity, power policy and batch size.  This is the contract that
-// lets the batched hot path be the default: it is purely a throughput
-// optimization, never a semantic fork.
+// Batch-size equivalence: ManagedCache::access_batch and the Simulator's
+// driver loop must reproduce the per-access path bit for bit — same
+// outcomes, same SimResult, same per-unit interval histograms, same
+// timeline artifact — for every backend, granularity, power policy and
+// batch size.  The per-access references are the driver at batch size 1
+// and, backend-level, access() + advance_idle.  This is the contract that
+// makes batching purely a throughput knob, never a semantic fork.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,8 +41,8 @@ SimConfig base_config(Granularity g, PowerPolicy policy,
   cfg.policy = policy;
   cfg.drowsy_window_cycles = drowsy_window;
   cfg.reindex_updates = 8;
-  // Nonzero event costs so stalls flow through both loops (self-applied
-  // by the batched backends, advance_idle'd by the scalar driver).
+  // Nonzero event costs so stalls stretch the clock (self-applied by the
+  // batch entry point, advance_idle'd after a per-access call).
   cfg.latency.hit_cycles = 1;
   cfg.latency.miss_cycles = 6;
   cfg.latency.drowsy_wake_cycles = 2;
@@ -56,9 +56,8 @@ struct RunArtifacts {
 };
 
 RunArtifacts run_once(const SimConfig& cfg, std::uint64_t accesses,
-                      bool scalar, std::uint64_t batch_size) {
+                      std::uint64_t batch_size) {
   SimConfig run_cfg = cfg;
-  run_cfg.force_scalar_loop = scalar;
   run_cfg.batch_size = batch_size;
   SyntheticTraceSource source(make_hotspot_workload(32 * 1024), accesses);
   api::TimelineRecorder recorder;
@@ -127,11 +126,9 @@ TEST(BatchedSimulatorEquivalence, AllBackendsAllBatchSizes) {
   for (const Variant& v : kVariants) {
     const SimConfig cfg =
         base_config(v.granularity, v.policy, v.drowsy_window);
-    const RunArtifacts scalar =
-        run_once(cfg, kAccesses, /*scalar=*/true, /*batch=*/256);
+    const RunArtifacts scalar = run_once(cfg, kAccesses, /*batch=*/1);
     for (const std::uint64_t batch : kBatchSizes) {
-      const RunArtifacts batched =
-          run_once(cfg, kAccesses, /*scalar=*/false, batch);
+      const RunArtifacts batched = run_once(cfg, kAccesses, batch);
       SCOPED_TRACE(std::string(v.label) + " batch=" +
                    std::to_string(batch));
       expect_same_result(scalar.result, batched.result);
@@ -150,8 +147,8 @@ TEST(BatchedSimulatorEquivalence, StaticIndexingObserverCadence) {
     SimConfig cfg = base_config(g, PowerPolicy::kGated, 0);
     cfg.indexing = IndexingKind::kStatic;
     cfg.reindex_updates = 0;
-    const RunArtifacts scalar = run_once(cfg, 40000, true, 256);
-    const RunArtifacts batched = run_once(cfg, 40000, false, 4096);
+    const RunArtifacts scalar = run_once(cfg, 40000, 1);
+    const RunArtifacts batched = run_once(cfg, 40000, 4096);
     expect_same_result(scalar.result, batched.result);
     EXPECT_EQ(scalar.timeline_json, batched.timeline_json);
   }
@@ -159,18 +156,18 @@ TEST(BatchedSimulatorEquivalence, StaticIndexingObserverCadence) {
 
 TEST(BatchedSimulatorEquivalence, HierarchyTakesDefaultBatchPath) {
   // A two-level stack has no batched override — the inherited default
-  // must replay the routed scalar path unchanged.
+  // must replay the routed per-access path unchanged.
   SimConfig cfg = base_config(Granularity::kBank, PowerPolicy::kGated, 0);
   cfg = two_level_variant(cfg, 32 * 1024);
-  const RunArtifacts scalar = run_once(cfg, 40000, true, 256);
+  const RunArtifacts scalar = run_once(cfg, 40000, 1);
   for (const std::uint64_t batch : {std::uint64_t{7}, std::uint64_t{512}}) {
-    const RunArtifacts batched = run_once(cfg, 40000, false, batch);
+    const RunArtifacts batched = run_once(cfg, 40000, batch);
     expect_same_result(scalar.result, batched.result);
     EXPECT_EQ(scalar.timeline_json, batched.timeline_json);
   }
 }
 
-// ---- backend-level: raw access_batch vs the scalar NVI loop ----
+// ---- backend-level: raw access_batch vs the per-access NVI loop ----
 
 CacheTopology backend_topology(Granularity g, PowerPolicy policy,
                                std::uint64_t drowsy_window) {

@@ -184,9 +184,9 @@ TEST_P(FuzzContention, ResourceLimitsObeyTheStructuralLaws) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzContention,
                          ::testing::Range<std::uint64_t>(1, 17));
 
-// Batched-vs-scalar under fuzzed configs: for random architectures,
-// workloads and a random batch-size schedule, the batched driver loop
-// must reproduce the scalar loop's SimResult exactly.  (The exhaustive
+// Batch-size equivalence under fuzzed configs: for random architectures,
+// workloads and a random batch size, the driver must reproduce its
+// per-access (batch size 1) SimResult exactly.  (The exhaustive
 // fixed-grid version lives in tests/batched_access_test.cc; this keeps
 // the corner-finding pressure on odd bank counts, granularities, stream
 // mixes and batch sizes.)
@@ -212,12 +212,11 @@ TEST_P(FuzzBatchedEquivalence, BatchedLoopMatchesScalarLoop) {
   constexpr std::uint64_t kAccesses = 60'000;
 
   SimConfig scalar_cfg = cfg;
-  scalar_cfg.force_scalar_loop = true;
+  scalar_cfg.batch_size = 1;
   SyntheticTraceSource sa(spec, kAccesses);
   const SimResult s = Simulator(scalar_cfg).run(sa, &aging().lut());
 
   SimConfig batched_cfg = cfg;
-  batched_cfg.force_scalar_loop = false;
   batched_cfg.batch_size = 1 + rng.next_below(5000);
   SyntheticTraceSource sb(spec, kAccesses);
   const SimResult b = Simulator(batched_cfg).run(sb, &aging().lut());

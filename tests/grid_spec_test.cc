@@ -433,7 +433,7 @@ l2_indexing = probing
 l2_drowsy_window = 32
 workload = cjpeg
 )");
-  const SimConfig& icfg = inherit.expand(5000)[0].config;
+  const SimConfig icfg = inherit.expand(5000)[0].config;
   EXPECT_EQ(icfg.lower_levels[1].topology.indexing, IndexingKind::kProbing);
   EXPECT_EQ(icfg.lower_levels[1].topology.drowsy_window_cycles, 32u);
 }

@@ -28,14 +28,14 @@ TEST(LineManaged, HitsAndUnits) {
 TEST(LineManaged, ProbingRotatesWholeIndex) {
   LineManagedCache lm(config_1k(IndexingKind::kProbing));
   const auto r0 = lm.access(0x100, false);  // logical set 16
-  EXPECT_EQ(r0.logical_set, 16u);
-  EXPECT_EQ(r0.physical_set, 16u);
+  EXPECT_EQ(r0.logical_unit, 16u);
+  EXPECT_EQ(r0.physical_unit, 16u);
   lm.update_indexing();
   const auto r1 = lm.access(0x100, false);
-  EXPECT_EQ(r1.physical_set, 17u);  // +1 mod 64
+  EXPECT_EQ(r1.physical_unit, 17u);  // +1 mod 64
   // Wrap-around at the top line.
   const auto r2 = lm.access(63u << 4, false);  // logical set 63
-  EXPECT_EQ(r2.physical_set, 0u);
+  EXPECT_EQ(r2.physical_unit, 0u);
 }
 
 TEST(LineManaged, UpdateFlushes) {
@@ -51,9 +51,9 @@ TEST(LineManaged, ScramblingIsPerSetPermutation) {
     std::vector<bool> seen(64, false);
     for (std::uint64_t s = 0; s < 64; ++s) {
       const auto r = lm.access(s << 4, false);
-      EXPECT_LT(r.physical_set, 64u);
-      EXPECT_FALSE(seen[r.physical_set]);
-      seen[r.physical_set] = true;
+      EXPECT_LT(r.physical_unit, 64u);
+      EXPECT_FALSE(seen[r.physical_unit]);
+      seen[r.physical_unit] = true;
     }
     lm.update_indexing();
   }
@@ -66,8 +66,8 @@ TEST(LineManaged, ResidencyPerLine) {
   // Hammer one line; all others idle.
   for (int i = 0; i < 1000; ++i) lm.access(0x0, false);
   lm.finish();
-  EXPECT_NEAR(lm.line_residency(0), 0.0, 1e-9);
-  EXPECT_NEAR(lm.line_residency(1), (1000.0 - 4.0) / 1000.0, 1e-9);
+  EXPECT_NEAR(lm.unit_residency(0), 0.0, 1e-9);
+  EXPECT_NEAR(lm.unit_residency(1), (1000.0 - 4.0) / 1000.0, 1e-9);
   EXPECT_NEAR(lm.min_residency(), 0.0, 1e-9);
   EXPECT_GT(lm.avg_residency(), 0.97);
 }
@@ -78,7 +78,7 @@ TEST(LineManaged, WokeLineFlag) {
   LineManagedCache lm(cfg);
   lm.access(0x0, false);
   for (int i = 0; i < 6; ++i) lm.access(0x10, false);
-  EXPECT_TRUE(lm.access(0x0, false).woke_line);
+  EXPECT_TRUE(lm.access(0x0, false).woke_unit);
 }
 
 TEST(LineManaged, FineGrainBeatsCoarseOnResidency) {

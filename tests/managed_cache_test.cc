@@ -1,15 +1,20 @@
 // Backend parity and factory tests for the polymorphic ManagedCache API.
 //
-// The unified interface must be a zero-cost veneer: driving a backend
-// through ManagedCache must reproduce the concrete class's outcome stream
-// bit for bit.  These tests pin that contract for all three granularities,
-// plus the factory over the full Granularity x IndexingKind matrix.
+// Every backend built by make_managed_cache must reproduce an independent
+// reference bit for bit: the plain CacheModel for the monolithic cache,
+// and a hand replay from the tag store, the address mapping and Block
+// Control for the bank and line backends.  Plus the factory over the full
+// Granularity x IndexingKind matrix.
 #include "core/managed_cache.h"
 
 #include <gtest/gtest.h>
 
-#include "bank/banked_cache.h"
-#include "bank/line_managed_cache.h"
+#include <algorithm>
+#include <functional>
+#include <vector>
+
+#include "bank/block_control.h"
+#include "bank/decoder.h"
 #include "cache/cache.h"
 #include "core/enum_strings.h"
 #include "core/hierarchy.h"
@@ -17,6 +22,7 @@
 #include "trace/trace.h"
 #include "trace/workloads.h"
 #include "util/error.h"
+#include "util/lfsr.h"
 
 namespace pcal {
 namespace {
@@ -123,87 +129,190 @@ TEST(BackendParity, MonolithicMatchesCacheModel) {
   EXPECT_EQ(mc.num_units(), 1u);
 }
 
-// kBank must reproduce BankedCache outcomes on the same trace, including
-// across re-indexing updates.
-TEST(BackendParity, BankMatchesBankedCache) {
-  const CacheTopology topo = base_topology(Granularity::kBank);
+// ---- independent oracles: leaf backends replayed from their parts ----
+//
+// The unified backend must match a hand replay built from the pieces it
+// composes — the CacheModel tag store, the backend's address mapping and
+// Block Control through its *asserting* on_access — with the wake, stall
+// and clock arithmetic written out here instead of shared with the
+// backend's kernel.  on_access re-checks the per-access invariants
+// (non-decreasing cycles, one access per unit per cycle) on every access.
+
+/// Where one address lands: tag, physical set, logical / physical unit.
+struct Where {
+  std::uint64_t tag, set, logical, physical;
+};
+
+struct HandReplay {
+  CacheModel cache;
+  BlockControl control;
+  CacheTopology topo;
+  std::uint64_t cycle = 0;
+
+  explicit HandReplay(const CacheTopology& t)
+      : cache(t.cache), control(t.num_units(), t.breakeven_cycles), topo(t) {}
+
+  AccessOutcome serve(const Where& w, std::uint64_t address, bool is_write,
+                      bool allocate) {
+    AccessOutcome want;
+    want.woke_unit = control.is_sleeping(w.physical, cycle);
+    want.wake = classify_wake(want.woke_unit,
+                              control.idle_gap(w.physical, cycle),
+                              topo.gate_cycles());
+    const CacheAccessResult r =
+        allocate ? cache.access(w.tag, w.set, is_write, address)
+                 : cache.probe(w.tag, w.set);
+    want.hit = r.hit;
+    want.writeback = r.writeback;
+    want.evicted = r.evicted;
+    want.victim_address = r.victim_address;
+    want.logical_unit = w.logical;
+    want.physical_unit = w.physical;
+    want.stall_cycles = topo.latency.event_stall(r.hit, want.wake);
+    want.add_event(0, r.hit, r.writeback, w.physical, address);
+    control.on_access(w.physical, cycle);
+    cycle += 1 + want.stall_cycles;
+    return want;
+  }
+};
+
+void expect_same_outcome(const AccessOutcome& want, const AccessOutcome& got,
+                         std::size_t i) {
+  ASSERT_EQ(got.hit, want.hit) << "access " << i;
+  ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+  ASSERT_EQ(got.logical_unit, want.logical_unit) << "access " << i;
+  ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
+  ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
+  ASSERT_EQ(got.wake, want.wake) << "access " << i;
+  ASSERT_EQ(got.stall_cycles, want.stall_cycles) << "access " << i;
+  ASSERT_EQ(got.evicted, want.evicted) << "access " << i;
+  ASSERT_EQ(got.victim_address, want.victim_address) << "access " << i;
+  ASSERT_EQ(got.num_events, want.num_events) << "access " << i;
+  const LevelEvent& g = got.events[0];
+  const LevelEvent& w = want.events[0];
+  ASSERT_EQ(g.level, w.level) << "access " << i;
+  ASSERT_EQ(g.hit, w.hit) << "access " << i;
+  ASSERT_EQ(g.writeback, w.writeback) << "access " << i;
+  ASSERT_EQ(g.unit, w.unit) << "access " << i;
+  ASSERT_EQ(g.address, w.address) << "access " << i;
+}
+
+/// Drives make_managed_cache(topo) and the hand replay side by side:
+/// accesses with a probe every 7th step, re-indexing every 4000 accesses
+/// (`remap` advances the oracle's mapping), then compares every unit's
+/// final activity and residency.
+void expect_matches_hand_replay(
+    const CacheTopology& topo,
+    const std::function<Where(std::uint64_t)>& where,
+    const std::function<void()>& remap) {
   const Trace trace = make_trace(20'000);
-
-  BankedCacheConfig bc;
-  bc.cache = topo.cache;
-  bc.partition = topo.partition;
-  bc.indexing = topo.indexing;
-  bc.indexing_seed = topo.indexing_seed;
-  bc.breakeven_cycles = topo.breakeven_cycles;
-  BankedCache reference(bc);
-
-  auto unified = make_managed_cache(topo);
-  ManagedCache& mc = *unified;
-
+  auto mc = make_managed_cache(topo);
+  HandReplay oracle(topo);
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const bool is_write = trace[i].kind == AccessKind::kWrite;
-    const BankedAccessOutcome want =
-        reference.access(trace[i].address, is_write);
-    const AccessOutcome got = mc.access(trace[i].address, is_write);
-    ASSERT_EQ(got.hit, want.hit) << "access " << i;
-    ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
-    ASSERT_EQ(got.logical_unit, want.logical_bank) << "access " << i;
-    ASSERT_EQ(got.physical_unit, want.physical_bank) << "access " << i;
-    ASSERT_EQ(got.woke_unit, want.woke_bank) << "access " << i;
-    if (i % 5'000 == 4'999) {
-      EXPECT_EQ(mc.update_indexing(), reference.update_indexing());
+    const std::uint64_t address = trace[i].address;
+    const bool probe = i % 7 == 3;
+    const bool is_write = !probe && trace[i].kind == AccessKind::kWrite;
+    const AccessOutcome want =
+        oracle.serve(where(address), address, is_write, !probe);
+    const AccessOutcome got =
+        probe ? mc->probe(address) : mc->access(address, is_write);
+    mc->advance_idle(got.stall_cycles);
+    expect_same_outcome(want, got, i);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (i % 4'000 == 3'999) {
+      remap();
+      EXPECT_EQ(mc->update_indexing(), oracle.cache.flush());
     }
   }
-  reference.finish();
-  mc.finish();
-  EXPECT_EQ(mc.indexing_updates(), reference.indexing_updates());
-  EXPECT_EQ(mc.stats().hits, reference.cache().stats().hits);
-  EXPECT_EQ(mc.stats().flushes, reference.cache().stats().flushes);
-  ASSERT_EQ(mc.num_units(), 4u);
-  for (std::uint64_t b = 0; b < 4; ++b) {
-    EXPECT_DOUBLE_EQ(mc.unit_residency(b), reference.bank_residency(b));
-    const UnitActivity a = mc.unit_activity(b);
-    EXPECT_EQ(a.accesses, reference.block_control().accesses(b));
-    EXPECT_EQ(a.sleep_cycles, reference.block_control().sleep_cycles(b));
-    EXPECT_EQ(a.sleep_episodes,
-              reference.block_control().sleep_episodes(b));
+  mc->finish();
+  oracle.control.finish(oracle.cycle);
+  EXPECT_EQ(mc->cycles(), oracle.cycle);
+  EXPECT_EQ(mc->indexing_updates(), trace.size() / 4'000);
+  EXPECT_EQ(mc->stats().hits, oracle.cache.stats().hits);
+  EXPECT_EQ(mc->stats().misses, oracle.cache.stats().misses);
+  EXPECT_EQ(mc->stats().writebacks, oracle.cache.stats().writebacks);
+  EXPECT_EQ(mc->stats().flushed_dirty, oracle.cache.stats().flushed_dirty);
+  ASSERT_EQ(mc->num_units(), topo.num_units());
+  for (std::uint64_t u = 0; u < mc->num_units(); ++u) {
+    const BlockControl& c = oracle.control;
+    const UnitActivity a = mc->unit_activity(u);
+    EXPECT_EQ(a.accesses, c.accesses(u)) << "unit " << u;
+    EXPECT_EQ(a.sleep_cycles, c.sleep_cycles(u)) << "unit " << u;
+    EXPECT_EQ(a.sleep_episodes, c.sleep_episodes(u)) << "unit " << u;
+    EXPECT_EQ(a.useful_idleness_count, c.useful_idleness_count(u))
+        << "unit " << u;
+    if (!topo.drowsy_active()) {
+      EXPECT_EQ(a.drowsy_cycles, 0u) << "unit " << u;
+      EXPECT_EQ(a.gated_episodes, a.sleep_episodes) << "unit " << u;
+    }
+    EXPECT_EQ(mc->unit_residency(u), c.sleep_residency(u, oracle.cycle))
+        << "unit " << u;
   }
 }
 
-// kLine must reproduce LineManagedCache outcomes on the same trace.
-TEST(BackendParity, LineMatchesLineManagedCache) {
-  const CacheTopology topo = base_topology(Granularity::kLine);
-  const Trace trace = make_trace(20'000);
-
-  LineManagedConfig lc;
-  lc.cache = topo.cache;
-  lc.indexing = topo.indexing;
-  lc.indexing_seed = topo.indexing_seed;
-  lc.breakeven_cycles = topo.breakeven_cycles;
-  LineManagedCache reference(lc);
-
-  auto unified = make_managed_cache(topo);
-  ManagedCache& mc = *unified;
-
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const bool is_write = trace[i].kind == AccessKind::kWrite;
-    const LineAccessOutcome want =
-        reference.access(trace[i].address, is_write);
-    const AccessOutcome got = mc.access(trace[i].address, is_write);
-    ASSERT_EQ(got.hit, want.hit) << "access " << i;
-    ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
-    ASSERT_EQ(got.logical_unit, want.logical_set) << "access " << i;
-    ASSERT_EQ(got.physical_unit, want.physical_set) << "access " << i;
-    ASSERT_EQ(got.woke_unit, want.woke_line) << "access " << i;
-    if (i % 4'000 == 3'999) {
-      EXPECT_EQ(mc.update_indexing(), reference.update_indexing());
+/// Nonzero latencies so stalls stretch the clock, and both the pure
+/// gated policy and a drowsy window (drowsy vs gated wakeups).
+std::vector<CacheTopology> oracle_topologies(Granularity g) {
+  std::vector<CacheTopology> out;
+  for (IndexingKind k : {IndexingKind::kProbing, IndexingKind::kScrambling})
+    for (std::uint64_t window : {0u, 40u}) {
+      CacheTopology topo = base_topology(g);
+      topo.cache.ways = 2;
+      topo.indexing = k;
+      topo.policy = PowerPolicy::kDrowsyHybrid;
+      topo.drowsy_window_cycles = window;
+      topo.latency.hit_cycles = 1;
+      topo.latency.miss_cycles = 5;
+      topo.latency.drowsy_wake_cycles = 2;
+      topo.latency.gated_wake_cycles = 7;
+      out.push_back(topo);
     }
+  return out;
+}
+
+TEST(BackendOracle, BankMatchesHandReplay) {
+  for (const CacheTopology& topo : oracle_topologies(Granularity::kBank)) {
+    SCOPED_TRACE(topo.describe());
+    BankDecoder decoder(topo.cache, topo.partition,
+                        make_indexing_policy(topo.indexing,
+                                             topo.partition.num_banks,
+                                             topo.indexing_seed));
+    expect_matches_hand_replay(
+        topo,
+        [&](std::uint64_t address) {
+          const DecodedIndex d =
+              decoder.decode(topo.cache.set_index_of(address));
+          return Where{topo.cache.tag_of(address), d.physical_set,
+                       d.logical_bank, d.physical_bank};
+        },
+        [&] { decoder.update(); });
   }
-  reference.finish();
-  mc.finish();
-  ASSERT_EQ(mc.num_units(), reference.num_units());
-  EXPECT_DOUBLE_EQ(mc.avg_residency(), reference.avg_residency());
-  EXPECT_DOUBLE_EQ(mc.min_residency(), reference.min_residency());
+}
+
+// The full-index map of reference [7], restated: probing adds a rotation
+// counter to the whole set index, scrambling XORs it with an LFSR word.
+TEST(BackendOracle, LineMatchesHandReplay) {
+  for (const CacheTopology& topo : oracle_topologies(Granularity::kLine)) {
+    SCOPED_TRACE(topo.describe());
+    const std::uint64_t sets = topo.cache.num_sets();
+    GaloisLfsr lfsr(std::min(24u, topo.cache.index_bits() + 8u),
+                    topo.indexing_seed);
+    std::uint64_t offset = 0;
+    const bool probing = topo.indexing == IndexingKind::kProbing;
+    expect_matches_hand_replay(
+        topo,
+        [&](std::uint64_t address) {
+          const std::uint64_t logical = topo.cache.set_index_of(address);
+          const std::uint64_t physical =
+              (probing ? logical + offset : logical ^ offset) & (sets - 1);
+          return Where{topo.cache.tag_of(address), physical, logical,
+                       physical};
+        },
+        [&] {
+          offset = probing ? (offset + 1) & (sets - 1)
+                           : lfsr.step() & (sets - 1);
+        });
+  }
 }
 
 // Every Granularity x IndexingKind combination constructs, runs, updates

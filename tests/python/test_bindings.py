@@ -62,6 +62,13 @@ def test_validate_checks_the_assembled_whole():
     assert len(issues) == 1 and issues[0]["key"] == "workload"
 
 
+def test_validate_bounds_the_clock():
+    # A miss latency of 2^64 - 1 would wrap the simulated clock.
+    issues = pcal.validate({"miss_latency": 2**64 - 1, "accesses": 200000})
+    assert [i["key"] for i in issues] == ["miss_latency"]
+    assert "2^63" in issues[0]["reason"]
+
+
 def test_run_single():
     r = pcal.run({"cache_size": "8k", "banks": 4, "workload": "uniform",
                   "accesses": 20000})

@@ -60,14 +60,16 @@ TEST(WayGrain, DirectMappedMatchesBankedBitForBit) {
 
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const bool is_write = trace[i].kind == AccessKind::kWrite;
-    const BankedAccessOutcome want =
-        reference.access(trace[i].address, is_write);
+    const AccessOutcome want = reference.access(trace[i].address, is_write);
     const AccessOutcome got = mc.access(trace[i].address, is_write);
     ASSERT_EQ(got.hit, want.hit) << "access " << i;
     ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
-    ASSERT_EQ(got.logical_unit, want.logical_bank) << "access " << i;
-    ASSERT_EQ(got.physical_unit, want.physical_bank) << "access " << i;
-    ASSERT_EQ(got.woke_unit, want.woke_bank) << "access " << i;
+    ASSERT_EQ(got.logical_unit, want.logical_unit) << "access " << i;
+    ASSERT_EQ(got.physical_unit, want.physical_unit) << "access " << i;
+    ASSERT_EQ(got.woke_unit, want.woke_unit) << "access " << i;
+    ASSERT_EQ(got.wake, want.wake) << "access " << i;
+    ASSERT_EQ(got.evicted, want.evicted) << "access " << i;
+    ASSERT_EQ(got.victim_address, want.victim_address) << "access " << i;
     if (i % 5'000 == 4'999) {
       ASSERT_EQ(mc.update_indexing(), reference.update_indexing());
     }
