@@ -32,6 +32,7 @@
 
 #include "api/pcal.h"
 #include "api/timeline.h"
+#include "core/result_fields.h"
 #include "core/run_assembly.h"
 
 namespace {
@@ -50,9 +51,12 @@ bool set_item(PyObject* dict, const char* key, PyObject* value) {
   return rc == 0;
 }
 
+PyObject* py_str(const std::string& s) {
+  return PyUnicode_FromStringAndSize(s.data(), (Py_ssize_t)s.size());
+}
+
 bool set_str(PyObject* dict, const char* key, const std::string& s) {
-  return set_item(dict, key, PyUnicode_FromStringAndSize(s.data(),
-                                                         (Py_ssize_t)s.size()));
+  return set_item(dict, key, py_str(s));
 }
 
 bool set_u64(PyObject* dict, const char* key, std::uint64_t v) {
@@ -122,100 +126,79 @@ bool entries_to_config(PyObject* obj, RunConfig* rc) {
   return true;
 }
 
-PyObject* issues_to_list(const std::vector<ConfigIssue>& issues) {
-  PyObject* list = PyList_New((Py_ssize_t)issues.size());
-  if (list == nullptr) return nullptr;
-  for (std::size_t i = 0; i < issues.size(); ++i) {
-    PyObject* d = PyDict_New();
-    if (d == nullptr || !set_str(d, "key", issues[i].key) ||
-        !set_str(d, "value", issues[i].value) ||
-        !set_str(d, "reason", issues[i].reason)) {
-      Py_XDECREF(d);
-      Py_DECREF(list);
-      return nullptr;
-    }
-    PyList_SET_ITEM(list, (Py_ssize_t)i, d);  // steals d
+/// A new list of `n` items made by `make(i)`, each a new reference; null
+/// (with the Python error set) if the list or any item cannot be made.
+template <class Make>
+PyObject* make_list(std::size_t n, Make&& make) {
+  PyObject* list = PyList_New((Py_ssize_t)n);
+  for (std::size_t i = 0; list != nullptr && i < n; ++i) {
+    PyObject* item = make(i);
+    if (item == nullptr)
+      Py_CLEAR(list);
+    else
+      PyList_SET_ITEM(list, (Py_ssize_t)i, item);  // steals item
   }
   return list;
 }
 
-PyObject* stats_to_dict(const pcal::CacheStats& s) {
+/// A new dict filled by `fill(d)`; null when `fill` reports failure.
+template <class Fill>
+PyObject* make_dict(Fill&& fill) {
   PyObject* d = PyDict_New();
-  if (d == nullptr || !set_u64(d, "accesses", s.accesses) ||
-      !set_u64(d, "hits", s.hits) || !set_u64(d, "misses", s.misses) ||
-      !set_u64(d, "writebacks", s.writebacks)) {
-    Py_XDECREF(d);
-    return nullptr;
-  }
+  if (d != nullptr && !fill(d)) Py_CLEAR(d);
   return d;
 }
 
+PyObject* issues_to_list(const std::vector<ConfigIssue>& issues) {
+  return make_list(issues.size(), [&](std::size_t i) {
+    return make_dict([&](PyObject* d) {
+      return set_str(d, "key", issues[i].key) &&
+             set_str(d, "value", issues[i].value) &&
+             set_str(d, "reason", issues[i].reason);
+    });
+  });
+}
+
+/// One metric table's entries, under their wire names.
+template <class R, std::size_t N>
+bool set_metrics(PyObject* d, const pcal::Metric<R> (&table)[N], const R& r) {
+  for (const pcal::Metric<R>& m : table) {
+    const bool ok = m.u64 != nullptr ? set_u64(d, m.name, m.u64(r))
+                                     : set_f64(d, m.name, m.f64(r));
+    if (!ok) return false;
+  }
+  return true;
+}
+
 /// The result dict: write_result_row's scalars under the same names,
-/// plus the per-level and per-core breakdowns a JSON row flattens away.
+/// plus the per-level (CacheStats fields + units) and per-core
+/// breakdowns a JSON row flattens away.
 PyObject* result_to_dict(const pcal::SimResult& r,
                          const std::vector<pcal::CoreResult>& cores) {
-  PyObject* d = PyDict_New();
-  if (d == nullptr) return nullptr;
-  bool ok = set_str(d, "workload", r.workload) &&
-            set_str(d, "config", r.config_label) &&
-            set_u64(d, "accesses", r.accesses) &&
-            set_u64(d, "total_cycles", r.total_cycles) &&
-            set_u64(d, "stall_cycles", r.stall_cycles) &&
-            set_u64(d, "mshr_stall_cycles", r.mshr_stall_cycles) &&
-            set_u64(d, "port_stall_cycles", r.port_stall_cycles) &&
-            set_u64(d, "bw_stall_cycles", r.bw_stall_cycles) &&
-            set_u64(d, "breakeven_cycles", r.breakeven_cycles) &&
-            set_f64(d, "avg_latency", r.avg_access_latency()) &&
-            set_f64(d, "energy_pj", r.energy.partitioned.total_pj()) &&
-            set_f64(d, "energy_saving", r.energy_saving()) &&
-            set_f64(d, "idleness", r.avg_residency()) &&
-            set_f64(d, "min_idleness", r.min_residency()) &&
-            set_f64(d, "drowsy_share", r.drowsy_residency()) &&
-            set_f64(d, "lifetime_years", r.lifetime_years());
-  if (ok) {
-    PyObject* levels = PyList_New((Py_ssize_t)r.level_stats.size());
-    ok = levels != nullptr;
-    for (std::size_t i = 0; ok && i < r.level_stats.size(); ++i) {
-      PyObject* lv = stats_to_dict(r.level_stats[i]);
-      if (lv != nullptr && i < r.level_units.size())
-        ok = set_u64(lv, "units", r.level_units[i]);
-      if (lv == nullptr || !ok) {
-        Py_XDECREF(lv);
-        ok = false;
-        break;
-      }
-      PyList_SET_ITEM(levels, (Py_ssize_t)i, lv);
-    }
-    ok = ok && set_item(d, "levels", levels);
-  }
-  if (ok) {
-    PyObject* clist = PyList_New((Py_ssize_t)cores.size());
-    ok = clist != nullptr;
-    for (std::size_t k = 0; ok && k < cores.size(); ++k) {
-      const pcal::CoreResult& c = cores[k];
-      PyObject* cd = PyDict_New();
-      ok = cd != nullptr && set_str(cd, "workload", c.workload) &&
-           set_u64(cd, "accesses", c.accesses) &&
-           set_u64(cd, "stall_cycles", c.stall_cycles) &&
-           set_u64(cd, "llc_way_mask", c.llc_way_mask) &&
-           set_f64(cd, "l1_hit_rate", c.l1_hit_rate()) &&
-           set_u64(cd, "llc_accesses", c.llc_stats.accesses) &&
-           set_u64(cd, "llc_hits", c.llc_stats.hits) &&
-           set_f64(cd, "energy_pj", c.energy.partitioned.total_pj()) &&
-           set_f64(cd, "idleness", c.avg_residency);
-      if (!ok) {
-        Py_XDECREF(cd);
-        break;
-      }
-      PyList_SET_ITEM(clist, (Py_ssize_t)k, cd);
-    }
-    ok = ok && set_item(d, "cores", clist);
-  }
-  if (!ok) {
-    Py_DECREF(d);
-    return nullptr;
-  }
-  return d;
+  const auto level = [&](std::size_t i) {
+    return make_dict([&](PyObject* d) {
+      bool ok = true;
+      pcal::for_each_field(r.level_stats[i], [&](const char* name,
+                                                 std::uint64_t v) {
+        ok = ok && set_u64(d, name, v);
+      });
+      return ok && (i >= r.level_units.size() ||
+                    set_u64(d, "units", r.level_units[i]));
+    });
+  };
+  const auto core = [&](std::size_t k) {
+    return make_dict([&](PyObject* d) {
+      return set_str(d, "workload", cores[k].workload) &&
+             set_metrics(d, pcal::kCoreMetrics, cores[k]);
+    });
+  };
+  return make_dict([&](PyObject* d) {
+    return set_str(d, "workload", r.workload) &&
+           set_str(d, "config", r.config_label) &&
+           set_metrics(d, pcal::kResultMetrics, r) &&
+           set_item(d, "levels", make_list(r.level_stats.size(), level)) &&
+           set_item(d, "cores", make_list(cores.size(), core));
+  });
 }
 
 /// mkdir -p (one level) for timeline_dir, matching pcalsweep.
@@ -365,53 +348,30 @@ PyObject* py_sweep(PyObject*, PyObject* args, PyObject* kwargs) {
                                     std::to_string(i) + ".json");
     }
 
-    PyObject* d = PyDict_New();
-    if (d == nullptr) return nullptr;
-    bool ok = set_str(d, "name", spec.name()) &&
-              set_u64(d, "jobs", run.outcomes.size()) &&
-              set_u64(d, "failed_jobs", run.failed_jobs()) &&
-              set_u64(d, "workers", run.stats.threads) &&
-              set_u64(d, "total_accesses", run.stats.total_accesses) &&
-              set_str(d, "table", run.table);
-    if (ok) {
-      PyObject* rows = PyList_New((Py_ssize_t)run.outcomes.size());
-      PyObject* labels = PyList_New((Py_ssize_t)run.outcomes.size());
-      PyObject* results = PyList_New((Py_ssize_t)run.outcomes.size());
-      ok = rows != nullptr && labels != nullptr && results != nullptr;
-      for (std::size_t i = 0; ok && i < run.outcomes.size(); ++i) {
-        const std::string row = run.result_row(i);
-        PyObject* row_obj =
-            PyUnicode_FromStringAndSize(row.data(), (Py_ssize_t)row.size());
-        const std::string label = spec.job_label(run.jobs[i]);
-        PyObject* label_obj = PyUnicode_FromStringAndSize(
-            label.data(), (Py_ssize_t)label.size());
-        PyObject* res = result_to_dict(run.outcomes[i].result,
-                                       run.outcomes[i].cores);
-        if (res != nullptr)
-          ok = set_item(res, "ok", PyBool_FromLong(
-                                       run.outcomes[i].ok() ? 1 : 0)) &&
-               (run.outcomes[i].ok() ||
-                set_str(res, "error", run.outcomes[i].error_what));
-        if (row_obj == nullptr || label_obj == nullptr || res == nullptr ||
-            !ok) {
-          Py_XDECREF(row_obj);
-          Py_XDECREF(label_obj);
-          Py_XDECREF(res);
-          ok = false;
-          break;
-        }
-        PyList_SET_ITEM(rows, (Py_ssize_t)i, row_obj);
-        PyList_SET_ITEM(labels, (Py_ssize_t)i, label_obj);
-        PyList_SET_ITEM(results, (Py_ssize_t)i, res);
-      }
-      ok = set_item(d, "rows", rows) && set_item(d, "labels", labels) &&
-           set_item(d, "results", results) && ok;
-    }
-    if (!ok) {
-      Py_DECREF(d);
-      return nullptr;
-    }
-    return d;
+    const std::size_t n = run.outcomes.size();
+    const auto result = [&](std::size_t i) {
+      const pcal::SweepOutcome& o = run.outcomes[i];
+      PyObject* res = result_to_dict(o.result, o.cores);
+      if (res != nullptr &&
+          !(set_item(res, "ok", PyBool_FromLong(o.ok() ? 1 : 0)) &&
+            (o.ok() || set_str(res, "error", o.error_what))))
+        Py_CLEAR(res);
+      return res;
+    };
+    return make_dict([&](PyObject* d) {
+      return set_str(d, "name", spec.name()) && set_u64(d, "jobs", n) &&
+             set_u64(d, "failed_jobs", run.failed_jobs()) &&
+             set_u64(d, "workers", run.stats.threads) &&
+             set_u64(d, "total_accesses", run.stats.total_accesses) &&
+             set_str(d, "table", run.table) &&
+             set_item(d, "rows", make_list(n, [&](std::size_t i) {
+                        return py_str(run.result_row(i));
+                      })) &&
+             set_item(d, "labels", make_list(n, [&](std::size_t i) {
+                        return py_str(spec.job_label(run.jobs[i]));
+                      })) &&
+             set_item(d, "results", make_list(n, result));
+    });
   } catch (const std::exception& e) {
     return raise_pcal_error(e);
   }

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <iostream>
 
+#include "core/result_fields.h"
+
 namespace pcal {
 
 void write_bench_json(const std::string& bench_name, const SweepStats& stats,
@@ -34,6 +36,21 @@ void write_bench_json(const std::string& bench_name, const SweepStats& stats,
     << "}\n";
 }
 
+namespace {
+
+template <class R, std::size_t N>
+void write_metrics(std::ostream& os, const Metric<R> (&table)[N], const R& r) {
+  for (const Metric<R>& m : table) {
+    os << ", \"" << m.name << "\": ";
+    if (m.u64 != nullptr)
+      os << m.u64(r);
+    else
+      os << m.f64(r);
+  }
+}
+
+}  // namespace
+
 void write_result_row(std::ostream& os, const SimResult& result,
                       const std::string& workload, bool ok,
                       const std::vector<CoreResult>* cores, long job) {
@@ -41,31 +58,16 @@ void write_result_row(std::ostream& os, const SimResult& result,
   if (job >= 0) os << "\"job\": " << job << ", ";
   os << "\"workload\": \"" << json_escape(workload) << "\", \"config\": \""
      << json_escape(result.config_label)
-     << "\", \"ok\": " << (ok ? "true" : "false")
-     << ", \"accesses\": " << result.accesses
-     << ", \"total_cycles\": " << result.total_cycles
-     << ", \"stall_cycles\": " << result.stall_cycles
-     << ", \"mshr_stall_cycles\": " << result.mshr_stall_cycles
-     << ", \"port_stall_cycles\": " << result.port_stall_cycles
-     << ", \"bw_stall_cycles\": " << result.bw_stall_cycles
-     << ", \"avg_latency\": " << result.avg_access_latency()
-     << ", \"energy_pj\": " << result.energy.partitioned.total_pj()
-     << ", \"idleness\": " << result.avg_residency()
-     << ", \"lifetime_years\": " << result.lifetime_years();
+     << "\", \"ok\": " << (ok ? "true" : "false");
+  write_metrics(os, kResultMetrics, result);
   if (cores != nullptr && !cores->empty()) {
     os << ", \"cores\": [";
     for (std::size_t k = 0; k < cores->size(); ++k) {
       const CoreResult& c = (*cores)[k];
       if (k) os << ", ";
-      os << "{\"workload\": \"" << json_escape(c.workload)
-         << "\", \"accesses\": " << c.accesses
-         << ", \"stall_cycles\": " << c.stall_cycles
-         << ", \"llc_way_mask\": " << c.llc_way_mask
-         << ", \"l1_hit_rate\": " << c.l1_hit_rate()
-         << ", \"llc_accesses\": " << c.llc_stats.accesses
-         << ", \"llc_hits\": " << c.llc_stats.hits
-         << ", \"energy_pj\": " << c.energy.partitioned.total_pj()
-         << ", \"idleness\": " << c.avg_residency << "}";
+      os << "{\"workload\": \"" << json_escape(c.workload) << "\"";
+      write_metrics(os, kCoreMetrics, c);
+      os << "}";
     }
     os << "]";
   }

@@ -25,17 +25,15 @@ void write_bench_json(const std::string& bench_name, const SweepStats& stats,
                       const std::function<void(std::ostream&)>& extra = {});
 
 /// Writes one element of a record's "results" array (no trailing comma
-/// or newline): the per-job row shape tools/check_bench_json.py
-/// validates — workload, config label, ok flag, accesses, the timing
-/// core's total/stall/avg-latency, energy, idleness, lifetime.  The one
+/// or newline): workload, config label and ok flag, then every
+/// core/result_fields.h kResultMetrics entry in table order.  The one
 /// emitter for every producer (pcalsweep, bench binaries), so the row
 /// schema cannot drift between them.  `cores` (a multi-core job's
-/// per-core attribution) appends a "cores" array member — per core:
-/// workload, accesses, stalls, LLC way mask, L1 hit rate, LLC traffic
-/// slice and attributed energy.  `job >= 0` prepends a "job" member —
-/// the job's global cross-product index — so sharded records can be
-/// merged and resumed records diffed by identity (bench binaries leave
-/// it off; their rows are always the full grid in order).
+/// per-core attribution) appends a "cores" array member — per core its
+/// workload and the kCoreMetrics entries.  `job >= 0` prepends a "job"
+/// member — the job's global cross-product index — so sharded records
+/// can be merged and resumed records diffed by identity (bench binaries
+/// leave it off; their rows are always the full grid in order).
 void write_result_row(std::ostream& os, const SimResult& result,
                       const std::string& workload, bool ok,
                       const std::vector<CoreResult>* cores = nullptr,

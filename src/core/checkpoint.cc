@@ -1,14 +1,21 @@
 #include "core/checkpoint.h"
 
-#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "core/enum_strings.h"
+#include "core/result_fields.h"
 #include "util/error.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -27,47 +34,127 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-// ---- token encoders ------------------------------------------------------
-//
-// A journal record is a flat sequence of space-separated tokens; every
-// encoder below is paired with a decoder so the round trip is exact.
+constexpr std::string_view kJournalVersion = "v2";
 
-void put_u64(std::ostringstream& os, std::uint64_t v) { os << ' ' << v; }
+template <class T>
+struct IsVector : std::false_type {};
+template <class T>
+struct IsVector<std::vector<T>> : std::true_type {};
+template <class T>
+struct IsOptional : std::false_type {};
+template <class T>
+struct IsOptional<std::optional<T>> : std::true_type {};
 
-void put_bool(std::ostringstream& os, bool v) { os << ' ' << (v ? 1 : 0); }
-
-// C99 hexfloat: %a prints the exact bit pattern of the double and
-// strtod restores it bit for bit — including inf and nan — so journaled
-// energies and residencies re-render identically to the original run.
-void put_double(std::ostringstream& os, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  os << ' ' << buf;
+void parse_enum(const std::string& s, Granularity* out) {
+  *out = granularity_from_string(s);
+}
+void parse_enum(const std::string& s, PowerPolicy* out) {
+  *out = power_policy_from_string(s);
 }
 
-// Strings are '~'-prefixed (so the empty string is a valid token) and
-// percent-encoded: space, control bytes, '%' and non-ASCII become %XX.
-void put_string(std::ostringstream& os, std::string_view s) {
-  os << ' ' << '~';
-  for (const char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    if (u <= 0x20 || u >= 0x7f || c == '%') {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02X", u);
-      os << buf;
+// ---- the codec: one token per scalar, two visitors of one walk ---------
+//
+// Integers are decimal, bools 0/1, enums their enum_strings spelling,
+// doubles C99 hexfloat (%a: strtod restores the bits, inf and nan too),
+// strings '~'-prefixed and percent-encoded (space, control bytes, '%'
+// and non-ASCII become %XX).  A vector is its count then its elements,
+// an optional a 0/1 flag then its value, a struct its result_fields.h
+// list.
+
+class TokenWriter {
+ public:
+  template <class T>
+  void operator()(const char* name, const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      raw(v ? "1" : "0");
+    } else if constexpr (std::is_enum_v<T>) {
+      (*this)(name, std::string(to_string(v)));
+    } else if constexpr (std::is_integral_v<T>) {
+      os_ << ' ' << static_cast<std::uint64_t>(v);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), "%a", v);
+      raw(buf);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      os_ << ' ' << '~';
+      for (const char c : v) {
+        const unsigned char u = static_cast<unsigned char>(c);
+        if (u <= 0x20 || u >= 0x7f || c == '%') {
+          char buf[4];
+          std::snprintf(buf, sizeof(buf), "%%%02X", u);
+          os_ << buf;
+        } else {
+          os_ << c;
+        }
+      }
+    } else if constexpr (IsVector<T>::value) {
+      (*this)(name, v.size());
+      for (const auto& e : v) (*this)(name, e);
+    } else if constexpr (IsOptional<T>::value) {
+      (*this)(name, v.has_value());
+      if (v) (*this)(name, *v);
     } else {
-      os << c;
+      for_each_field(v, *this);
     }
   }
-}
 
-// ---- token decoders ------------------------------------------------------
+  void raw(std::string_view token) { os_ << ' ' << token; }
 
-/// Cursor over one record's tokens; every take_* throws ParseError on
+  /// The tokens written so far, without the leading separator.
+  std::string str() const {
+    const std::string s = os_.str();
+    return s.empty() ? s : s.substr(1);
+  }
+
+ private:
+  std::ostringstream os_;
+};
+
+/// Cursor over one record's tokens; every read throws ParseError on
 /// malformed or missing input so a damaged record can never half-load.
 class TokenReader {
  public:
   explicit TokenReader(std::string_view data) : data_(data) {}
+
+  template <class T>
+  void operator()(const char* name, T& f) {
+    if constexpr (std::is_same_v<T, bool>) {
+      const std::uint64_t v = take_u64();
+      if (v > 1) throw ParseError("journal record: bad bool token");
+      f = v != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      try {
+        parse_enum(take_string(), &f);
+      } catch (const ConfigError& e) {
+        throw ParseError(std::string("journal record: ") + e.what());
+      }
+    } else if constexpr (std::is_integral_v<T>) {
+      const std::uint64_t v = take_u64();
+      if (v > std::numeric_limits<T>::max())
+        throw ParseError("journal record: integer out of range");
+      f = static_cast<T>(v);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      const std::string tok(take());
+      char* end = nullptr;
+      f = std::strtod(tok.c_str(), &end);
+      if (end == tok.c_str() || *end != '\0')
+        throw ParseError("journal record: bad float token '" + tok + "'");
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      f = take_string();
+    } else if constexpr (IsVector<T>::value) {
+      f.resize(take_count());
+      for (auto& e : f) (*this)(name, e);
+    } else if constexpr (IsOptional<T>::value) {
+      bool present = false;
+      (*this)(name, present);
+      if (present)
+        (*this)(name, f.emplace());
+      else
+        f.reset();
+    } else {
+      for_each_field(f, *this);
+    }
+  }
 
   std::string_view take() {
     while (pos_ < data_.size() && data_[pos_] == ' ') ++pos_;
@@ -78,41 +165,37 @@ class TokenReader {
     return data_.substr(start, pos_ - start);
   }
 
-  std::uint64_t take_u64() {
+  std::uint64_t take_hex64() { return take_integer(16, "hex"); }
+
+  bool exhausted() {
+    while (pos_ < data_.size() && data_[pos_] == ' ') ++pos_;
+    return pos_ >= data_.size();
+  }
+
+ private:
+  std::uint64_t take_u64() { return take_integer(10, "integer"); }
+
+  std::uint64_t take_integer(int base, const char* what) {
     const std::string tok(take());
     errno = 0;
     char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (errno != 0 || end == tok.c_str() || *end != '\0')
-      throw ParseError("journal record: bad integer token '" + tok + "'");
+    const unsigned long long v = std::strtoull(tok.c_str(), &end, base);
+    // strtoull would take a sign or leading space ("-1" as 2^64-1).
+    if (!std::isxdigit(static_cast<unsigned char>(tok[0])) || errno != 0 ||
+        end == tok.c_str() || *end != '\0')
+      throw ParseError(std::string("journal record: bad ") + what +
+                       " token '" + tok + "'");
     return v;
   }
 
-  std::uint64_t take_hex64() {
-    const std::string tok(take());
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 16);
-    if (errno != 0 || end == tok.c_str() || *end != '\0')
-      throw ParseError("journal record: bad hex token '" + tok + "'");
-    return v;
-  }
-
-  bool take_bool() {
-    const std::uint64_t v = take_u64();
-    if (v > 1)
-      throw ParseError("journal record: bad bool token");
-    return v != 0;
-  }
-
-  double take_double() {
-    const std::string tok(take());
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0')
-      throw ParseError("journal record: bad float token '" + tok + "'");
-    return v;
+  /// A container size.  Every element is at least one token (two bytes
+  /// with its separator), so a count the rest of the record cannot hold
+  /// is damage — refused before it sizes an allocation.
+  std::size_t take_count() {
+    const std::uint64_t n = take_u64();
+    if (n > (data_.size() - pos_) / 2)
+      throw ParseError("journal record: element count exceeds the record");
+    return static_cast<std::size_t>(n);
   }
 
   std::string take_string() {
@@ -126,183 +209,49 @@ class TokenReader {
         out.push_back(tok[i]);
         continue;
       }
-      if (i + 2 >= tok.size())
-        throw ParseError("journal record: truncated %XX escape");
-      const auto nibble = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        return -1;
-      };
-      const int hi = nibble(tok[i + 1]);
-      const int lo = nibble(tok[i + 2]);
-      if (hi < 0 || lo < 0)
+      const std::string hex(tok.substr(i + 1, 2));
+      if (hex.size() != 2 ||
+          !std::isxdigit(static_cast<unsigned char>(hex[0])) ||
+          !std::isxdigit(static_cast<unsigned char>(hex[1])))
         throw ParseError("journal record: bad %XX escape");
-      out.push_back(static_cast<char>(hi * 16 + lo));
+      out.push_back(static_cast<char>(std::stoi(hex, nullptr, 16)));
       i += 2;
     }
     return out;
   }
 
-  bool exhausted() {
-    while (pos_ < data_.size() && data_[pos_] == ' ') ++pos_;
-    return pos_ >= data_.size();
-  }
-
- private:
   std::string_view data_;
   std::size_t pos_ = 0;
 };
 
-// ---- struct (de)serializers ---------------------------------------------
-
-void put_cache_stats(std::ostringstream& os, const CacheStats& s) {
-  put_u64(os, s.accesses);
-  put_u64(os, s.hits);
-  put_u64(os, s.misses);
-  put_u64(os, s.writebacks);
-  put_u64(os, s.flushes);
-  put_u64(os, s.flushed_dirty);
-}
-
-CacheStats take_cache_stats(TokenReader* r) {
-  CacheStats s;
-  s.accesses = r->take_u64();
-  s.hits = r->take_u64();
-  s.misses = r->take_u64();
-  s.writebacks = r->take_u64();
-  s.flushes = r->take_u64();
-  s.flushed_dirty = r->take_u64();
-  return s;
-}
-
-void put_energy(std::ostringstream& os, const EnergyReport& e) {
-  put_double(os, e.partitioned.dynamic_pj);
-  put_double(os, e.partitioned.leakage_active_pj);
-  put_double(os, e.partitioned.leakage_retention_pj);
-  put_double(os, e.partitioned.leakage_drowsy_pj);
-  put_double(os, e.partitioned.transition_pj);
-  put_double(os, e.baseline_pj);
-}
-
-EnergyReport take_energy(TokenReader* r) {
-  EnergyReport e;
-  e.partitioned.dynamic_pj = r->take_double();
-  e.partitioned.leakage_active_pj = r->take_double();
-  e.partitioned.leakage_retention_pj = r->take_double();
-  e.partitioned.leakage_drowsy_pj = r->take_double();
-  e.partitioned.transition_pj = r->take_double();
-  e.baseline_pj = r->take_double();
-  return e;
-}
-
-void put_sim_result(std::ostringstream& os, const SimResult& r) {
-  put_string(os, r.workload);
-  put_string(os, r.config_label);
-  put_string(os, to_string(r.granularity));
-  put_string(os, to_string(r.policy));
-  put_u64(os, r.accesses);
-  put_u64(os, r.total_cycles);
-  put_u64(os, r.stall_cycles);
-  put_u64(os, r.breakeven_cycles);
-  put_u64(os, r.reindex_updates_applied);
-  put_cache_stats(os, r.cache_stats);
-  put_u64(os, r.units.size());
-  for (const UnitResult& u : r.units) {
-    put_u64(os, u.accesses);
-    put_u64(os, u.sleep_cycles);
-    put_double(os, u.sleep_residency);
-    put_double(os, u.useful_idleness_count);
-    put_u64(os, u.sleep_episodes);
-    put_u64(os, u.drowsy_cycles);
-    put_u64(os, u.gated_episodes);
-    put_double(os, u.lifetime_years);
-  }
-  put_u64(os, r.level_stats.size());
-  for (const CacheStats& s : r.level_stats) put_cache_stats(os, s);
-  put_u64(os, r.level_units.size());
-  for (const std::uint64_t n : r.level_units) put_u64(os, n);
-  put_energy(os, r.energy);
-  put_bool(os, r.lifetime.has_value());
-  if (r.lifetime) {
-    put_u64(os, r.lifetime->banks.size());
-    for (const BankLifetime& b : r.lifetime->banks) {
-      put_double(os, b.sleep_residency);
-      put_double(os, b.p0);
-      put_double(os, b.lifetime_years);
-    }
-    put_double(os, r.lifetime->lifetime_years);
-    put_u64(os, r.lifetime->limiting_bank);
+/// The journaled form of one outcome: the job envelope, then — for a
+/// success — the full SimResult and per-core results.  `ok` comes first
+/// so a reader knows whether the result follows.
+template <class Outcome, class Visitor>
+void visit_outcome(Outcome& o, bool& ok, Visitor& v) {
+  v("ok", ok);
+  v("attempts", o.attempts);
+  v("intervals", o.intervals);
+  v("timed_out", o.timed_out);
+  v("label", o.label);
+  v("error_what", o.error_what);
+  if (ok) {
+    v("result", o.result);
+    v("cores", o.cores);
   }
 }
 
-SimResult take_sim_result(TokenReader* r) {
-  SimResult out;
-  out.workload = r->take_string();
-  out.config_label = r->take_string();
-  out.granularity = granularity_from_string(r->take_string());
-  out.policy = power_policy_from_string(r->take_string());
-  out.accesses = r->take_u64();
-  out.total_cycles = r->take_u64();
-  out.stall_cycles = r->take_u64();
-  out.breakeven_cycles = r->take_u64();
-  out.reindex_updates_applied = r->take_u64();
-  out.cache_stats = take_cache_stats(r);
-  out.units.resize(r->take_u64());
-  for (UnitResult& u : out.units) {
-    u.accesses = r->take_u64();
-    u.sleep_cycles = r->take_u64();
-    u.sleep_residency = r->take_double();
-    u.useful_idleness_count = r->take_double();
-    u.sleep_episodes = r->take_u64();
-    u.drowsy_cycles = r->take_u64();
-    u.gated_episodes = r->take_u64();
-    u.lifetime_years = r->take_double();
-  }
-  out.level_stats.resize(r->take_u64());
-  for (CacheStats& s : out.level_stats) s = take_cache_stats(r);
-  out.level_units.resize(r->take_u64());
-  for (std::uint64_t& n : out.level_units) n = r->take_u64();
-  out.energy = take_energy(r);
-  if (r->take_bool()) {
-    CacheLifetimeResult lt;
-    lt.banks.resize(r->take_u64());
-    for (BankLifetime& b : lt.banks) {
-      b.sleep_residency = r->take_double();
-      b.p0 = r->take_double();
-      b.lifetime_years = r->take_double();
-    }
-    lt.lifetime_years = r->take_double();
-    lt.limiting_bank = r->take_u64();
-    out.lifetime = std::move(lt);
-  }
+/// Reads one outcome from `r`, which must then be exhausted.
+SweepOutcome take_outcome(TokenReader& r) {
+  SweepOutcome out;
+  bool ok = false;
+  visit_outcome(out, ok, r);
+  // Restore failure semantics: ok() is false and rethrow_if_error()
+  // raises an Error carrying the journaled reason.
+  if (!ok) out.error = std::make_exception_ptr(Error(out.error_what));
+  if (!r.exhausted())
+    throw ParseError("journal record has trailing tokens");
   return out;
-}
-
-void put_core_result(std::ostringstream& os, const CoreResult& c) {
-  put_string(os, c.workload);
-  put_u64(os, c.accesses);
-  put_u64(os, c.stall_cycles);
-  put_u64(os, c.llc_way_mask);
-  put_u64(os, c.level_stats.size());
-  for (const CacheStats& s : c.level_stats) put_cache_stats(os, s);
-  put_cache_stats(os, c.llc_stats);
-  put_energy(os, c.energy);
-  put_double(os, c.avg_residency);
-}
-
-CoreResult take_core_result(TokenReader* r) {
-  CoreResult c;
-  c.workload = r->take_string();
-  c.accesses = r->take_u64();
-  c.stall_cycles = r->take_u64();
-  c.llc_way_mask = r->take_u64();
-  c.level_stats.resize(r->take_u64());
-  for (CacheStats& s : c.level_stats) s = take_cache_stats(r);
-  c.llc_stats = take_cache_stats(r);
-  c.energy = take_energy(r);
-  c.avg_residency = r->take_double();
-  return c;
 }
 
 /// Appends the line checksum to `payload` — FNV-1a over the payload
@@ -330,15 +279,21 @@ std::string_view verify_checksum(std::string_view line) {
 
 JournalHeader parse_header_payload(std::string_view payload) {
   TokenReader r(payload);
-  if (r.take() != "pcal-journal" || r.take() != "v1")
+  if (r.take() != "pcal-journal")
     throw ParseError("not a pcal journal (bad magic)");
+  const std::string_view version = r.take();
+  if (version != kJournalVersion)
+    throw ParseError("unsupported journal version pcal-journal " +
+                     std::string(version) + " (this build reads " +
+                     std::string(kJournalVersion) +
+                     "; rerun the sweep without --resume)");
   JournalHeader h;
-  h.name = r.take_string();
+  r("name", h.name);
   h.fingerprint = r.take_hex64();
-  h.jobs = r.take_u64();
-  h.accesses = r.take_u64();
-  h.shard_index = static_cast<unsigned>(r.take_u64());
-  h.shard_count = static_cast<unsigned>(r.take_u64());
+  r("jobs", h.jobs);
+  r("accesses", h.accesses);
+  r("shard_index", h.shard_index);
+  r("shard_count", h.shard_count);
   if (!r.exhausted())
     throw ParseError("journal header has trailing tokens");
   if (h.shard_count == 0 || h.shard_index == 0 ||
@@ -372,56 +327,28 @@ void Fingerprint::add_u64(std::uint64_t v) {
 }
 
 std::string serialize_outcome(const SweepOutcome& outcome) {
-  std::ostringstream os;
-  put_bool(os, outcome.ok());
-  put_u64(os, outcome.attempts);
-  put_u64(os, outcome.intervals);
-  put_bool(os, outcome.timed_out);
-  put_string(os, outcome.label);
-  put_string(os, outcome.error_what);
-  if (outcome.ok()) {
-    put_sim_result(os, outcome.result);
-    put_u64(os, outcome.cores.size());
-    for (const CoreResult& c : outcome.cores) put_core_result(os, c);
-  }
-  // os starts every token with a space; drop the leading one.
-  std::string s = os.str();
-  return s.empty() ? s : s.substr(1);
+  bool ok = outcome.ok();
+  TokenWriter w;
+  visit_outcome(outcome, ok, w);
+  return w.str();
 }
 
 SweepOutcome deserialize_outcome(std::string_view tokens) {
   TokenReader r(tokens);
-  SweepOutcome out;
-  const bool ok = r.take_bool();
-  out.attempts = static_cast<unsigned>(r.take_u64());
-  out.intervals = r.take_u64();
-  out.timed_out = r.take_bool();
-  out.label = r.take_string();
-  out.error_what = r.take_string();
-  if (ok) {
-    out.result = take_sim_result(&r);
-    out.cores.resize(r.take_u64());
-    for (CoreResult& c : out.cores) c = take_core_result(&r);
-  } else {
-    // Restore failure semantics: ok() is false and rethrow_if_error()
-    // raises an Error carrying the journaled reason.
-    out.error = std::make_exception_ptr(Error(out.error_what));
-  }
-  if (!r.exhausted())
-    throw ParseError("journal record has trailing tokens");
-  return out;
+  return take_outcome(r);
 }
 
 std::string render_journal_header(const JournalHeader& header) {
-  std::ostringstream os;
-  os << "pcal-journal v1";
-  put_string(os, header.name);
-  os << ' ' << hex16(header.fingerprint);
-  put_u64(os, header.jobs);
-  put_u64(os, header.accesses);
-  put_u64(os, header.shard_index);
-  put_u64(os, header.shard_count);
-  return with_checksum(os.str());
+  TokenWriter w;
+  w.raw("pcal-journal");
+  w.raw(kJournalVersion);
+  w("name", header.name);
+  w.raw(hex16(header.fingerprint));
+  w("jobs", header.jobs);
+  w("accesses", header.accesses);
+  w("shard_index", header.shard_index);
+  w("shard_count", header.shard_count);
+  return with_checksum(w.str());
 }
 
 std::string render_journal_record(std::size_t index,
@@ -447,11 +374,7 @@ JournalWriter::JournalWriter(const std::string& path,
       throw ParseError(path + ": cannot read journal header for append");
     const JournalHeader existing = parse_header_payload(
         verify_checksum(first));
-    if (existing.fingerprint != header.fingerprint ||
-        existing.jobs != header.jobs ||
-        existing.accesses != header.accesses ||
-        existing.shard_index != header.shard_index ||
-        existing.shard_count != header.shard_count)
+    if (!existing.same_run(header))
       throw ParseError(path +
                        ": journal header does not match this run "
                        "(different grid, accesses, or shard)");
@@ -526,17 +449,9 @@ LoadedJournal load_journal(const std::string& path) {
       if (r.take() != "J")
         throw ParseError("journal record does not start with 'J'");
       JournalEntry entry;
-      entry.index = r.take_u64();
+      r("index", entry.index);
       entry.job_fingerprint = r.take_hex64();
-      // The rest of the payload is the outcome.
-      const std::string_view payload = verify_checksum(lines[i]);
-      // Skip "J <index> <fp> " — re-scan to the fourth token start.
-      std::size_t pos = 0;
-      for (int tok = 0; tok < 3; ++tok) {
-        while (pos < payload.size() && payload[pos] == ' ') ++pos;
-        while (pos < payload.size() && payload[pos] != ' ') ++pos;
-      }
-      entry.outcome = deserialize_outcome(payload.substr(pos));
+      entry.outcome = take_outcome(r);
       if (entry.index >= out.header.jobs)
         throw ParseError("journal record index out of range");
       out.entries.push_back(std::move(entry));
@@ -547,26 +462,18 @@ LoadedJournal load_journal(const std::string& path) {
         out.torn_tail = true;
         break;
       }
-      std::ostringstream os;
-      os << path << ":line " << (i + 1) << ": " << e.what();
-      throw ParseError(os.str());
+      throw ParseError(path + ":line " + std::to_string(i + 1) + ": " +
+                       e.what());
     }
   }
 
   // Keep the last record per job (an append retried after a partial
   // flush can duplicate), then order by index for deterministic merges.
-  std::vector<JournalEntry> dedup;
-  for (auto it = out.entries.rbegin(); it != out.entries.rend(); ++it) {
-    bool seen = false;
-    for (const JournalEntry& kept : dedup)
-      if (kept.index == it->index) { seen = true; break; }
-    if (!seen) dedup.push_back(std::move(*it));
-  }
-  std::sort(dedup.begin(), dedup.end(),
-            [](const JournalEntry& a, const JournalEntry& b) {
-              return a.index < b.index;
-            });
-  out.entries = std::move(dedup);
+  std::map<std::size_t, JournalEntry> by_index;
+  for (JournalEntry& entry : out.entries)
+    by_index[entry.index] = std::move(entry);
+  out.entries.clear();
+  for (auto& kept : by_index) out.entries.push_back(std::move(kept.second));
   return out;
 }
 

@@ -5,14 +5,15 @@
 // finished job.  This module gives SweepRunner a durable journal — an
 // append-only text file of completed-job outcomes that a rerun loads to
 // skip work already done.  Resume is bit-identical to an uninterrupted
-// run because the journal round-trips every SimResult field exactly:
-// integers in decimal, doubles in C99 hexfloat (`%a`, which strtod
+// run because the journal round-trips every stored result field exactly
+// — the core/result_fields.h list, walked by one writer/reader visitor
+// pair: integers in decimal, doubles in C99 hexfloat (`%a`, which strtod
 // restores bit for bit), strings percent-encoded.
 //
 // Journal layout (one record per line, space-separated tokens, each line
 // ending in its own FNV-1a checksum token):
 //
-//   pcal-journal v1 <name> <run-fp> <jobs> <accesses> <shard-k> <shard-n> <sum>
+//   pcal-journal v2 <name> <run-fp> <jobs> <accesses> <shard-k> <shard-n> <sum>
 //   J <index> <job-fp> <serialized outcome...> <sum>
 //   J ...
 //
@@ -23,6 +24,8 @@
 // one.  Loading tolerates exactly one torn record at the tail (the
 // append a crash interrupted); a corrupt line anywhere else is a
 // ParseError, because it means the file was damaged, not truncated.
+// A journal of another format version (v1 predates the contention stall
+// fields) is refused with a ParseError naming its version.
 //
 // Thread-safety: JournalWriter::on_job_complete is called concurrently
 // from sweep workers and serializes appends behind a mutex; writes are
@@ -67,6 +70,13 @@ struct JournalHeader {
   std::uint64_t accesses = 0;     // per-job accesses the grid was run at
   unsigned shard_index = 1;       // 1-based
   unsigned shard_count = 1;
+
+  /// Same grid, accesses and shard (the display name may differ).
+  bool same_run(const JournalHeader& o) const {
+    return fingerprint == o.fingerprint && jobs == o.jobs &&
+           accesses == o.accesses && shard_index == o.shard_index &&
+           shard_count == o.shard_count;
+  }
 };
 
 /// One completed-job record restored from a journal.

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/enum_strings.h"
+#include "core/result_fields.h"
 #include "core/run_assembly.h"
 #include "trace/binary_trace.h"
 #include "trace/multiprogram.h"
@@ -52,12 +53,6 @@ constexpr const char* kStringAxes[] = {
 constexpr const char* kFloatAxes[] = {
     "energy_drowsy_leak", "energy_gated_leak", "energy_sleep_overhead",
     "energy_control_leak_uw", "energy_gate_fixed_pj"};
-
-constexpr const char* kMetricNames[] = {
-    "idleness",  "min_idleness", "lifetime",     "energy_saving",
-    "hit_rate",  "energy_pj",    "drowsy_share", "accesses",
-    "avg_latency", "total_cycles", "stall_cycles",
-    "mshr_stall_cycles", "port_stall_cycles", "bw_stall_cycles"};
 
 bool is_numeric_axis(const std::string& key) {
   for (const char* k : kNumericAxes)
@@ -351,11 +346,10 @@ TableMetric parse_metric(const std::string& item, const std::string& where) {
     fail(where, "cell '" + item + "' wants metric[:label[:num|pct[:N]]]");
   TableMetric m;
   m.metric = std::string(trim(fields[0]));
-  bool known = false;
-  for (const char* k : kMetricNames) known = known || m.metric == k;
-  if (!known) {
+  if (find_sweep_metric(m.metric) == nullptr) {
     std::string hint;
-    for (const char* k : kMetricNames) hint += std::string(k) + " ";
+    for (const ResultMetric& k : kResultMetrics)
+      hint += std::string(k.sweep_spelling()) + " ";
     fail(where, "unknown metric '" + m.metric + "' (valid: " + hint + ")");
   }
   m.label = fields.size() > 1 ? std::string(trim(fields[1])) : m.metric;
@@ -977,24 +971,9 @@ std::vector<GridJob> GridSpec::expand(std::uint64_t num_accesses) const {
 }
 
 double grid_metric_value(const SimResult& r, const std::string& metric) {
-  if (metric == "idleness") return r.avg_residency();
-  if (metric == "min_idleness") return r.min_residency();
-  if (metric == "lifetime") return r.lifetime_years();
-  if (metric == "energy_saving") return r.energy_saving();
-  if (metric == "hit_rate") return r.cache_stats.hit_rate();
-  if (metric == "energy_pj") return r.energy.partitioned.total_pj();
-  if (metric == "drowsy_share") return r.drowsy_residency();
-  if (metric == "accesses") return static_cast<double>(r.accesses);
-  if (metric == "avg_latency") return r.avg_access_latency();
-  if (metric == "total_cycles") return static_cast<double>(r.total_cycles);
-  if (metric == "stall_cycles") return static_cast<double>(r.stall_cycles);
-  if (metric == "mshr_stall_cycles")
-    return static_cast<double>(r.mshr_stall_cycles);
-  if (metric == "port_stall_cycles")
-    return static_cast<double>(r.port_stall_cycles);
-  if (metric == "bw_stall_cycles")
-    return static_cast<double>(r.bw_stall_cycles);
-  throw ConfigError("unknown table metric '" + metric + "'");
+  const ResultMetric* m = find_sweep_metric(metric);
+  if (m == nullptr) throw ConfigError("unknown table metric '" + metric + "'");
+  return m->u64 != nullptr ? static_cast<double>(m->u64(r)) : m->f64(r);
 }
 
 std::string GridSpec::job_label(const GridJob& job) const {

@@ -62,8 +62,7 @@ struct GridAxis {
 
 /// One metric column group of the [table] pivot renderer.
 struct TableMetric {
-  std::string metric;  // idleness | min_idleness | lifetime | energy_saving
-                       // | hit_rate | energy_pj | drowsy_share | accesses
+  std::string metric;  // a core/result_fields.h sweep spelling
   std::string label;   // column header suffix, e.g. "Idl"
   bool percent = false;
   int decimals = 2;
@@ -207,7 +206,8 @@ class GridSpec {
   TableSpec table_;
 };
 
-/// Extracts one named metric from a result (the [table] cell values).
+/// Extracts one named metric from a result (the [table] cell values):
+/// the kResultMetrics entry with that sweep spelling, as a double.
 /// Throws ConfigError on unknown metric names.
 double grid_metric_value(const SimResult& result, const std::string& metric);
 

@@ -6,6 +6,7 @@
 
 #include "core/contention.h"
 #include "core/enum_strings.h"
+#include "core/result_fields.h"
 #include "power/unit_energy.h"
 #include "util/error.h"
 
@@ -24,38 +25,23 @@ constexpr std::size_t kBatchSize = 256;
 constexpr std::uint64_t kDefaultObserverIntervals = 16;
 
 void add_stats(CacheStats& into, const CacheStats& s) {
-  into.accesses += s.accesses;
-  into.hits += s.hits;
-  into.misses += s.misses;
-  into.writebacks += s.writebacks;
-  into.flushes += s.flushes;
-  into.flushed_dirty += s.flushed_dirty;
+  for_each_field(into, [](const char*, std::uint64_t& a,
+                          std::uint64_t b) { a += b; }, s);
 }
 
 /// Accumulates `after - before` into `into` — the delta attribution of
 /// one routed access's LLC traffic to its issuing core.
 void add_delta(CacheStats& into, const CacheStats& before,
                const CacheStats& after) {
-  into.accesses += after.accesses - before.accesses;
-  into.hits += after.hits - before.hits;
-  into.misses += after.misses - before.misses;
-  into.writebacks += after.writebacks - before.writebacks;
-  into.flushes += after.flushes - before.flushes;
-  into.flushed_dirty += after.flushed_dirty - before.flushed_dirty;
+  for_each_field(into, [](const char*, std::uint64_t& a, std::uint64_t b0,
+                          std::uint64_t b1) { a += b1 - b0; }, before, after);
 }
 
 /// `report` scaled by `f` — how the shared LLC's energy is apportioned
 /// to cores by their access share.
-EnergyReport scale_report(const EnergyReport& report, double f) {
-  EnergyReport out;
-  out.partitioned.dynamic_pj = report.partitioned.dynamic_pj * f;
-  out.partitioned.leakage_active_pj = report.partitioned.leakage_active_pj * f;
-  out.partitioned.leakage_retention_pj =
-      report.partitioned.leakage_retention_pj * f;
-  out.partitioned.leakage_drowsy_pj = report.partitioned.leakage_drowsy_pj * f;
-  out.partitioned.transition_pj = report.partitioned.transition_pj * f;
-  out.baseline_pj = report.baseline_pj * f;
-  return out;
+EnergyReport scale_report(EnergyReport report, double f) {
+  for_each_field(report, [f](const char*, double& pj) { pj *= f; });
+  return report;
 }
 
 }  // namespace

@@ -167,13 +167,16 @@ struct SweepStats {
   std::size_t failed_jobs = 0;
   unsigned threads = 0;
   std::uint64_t total_accesses = 0;      // sum of SimResult::accesses
+  std::uint64_t restored_accesses = 0;   // of those, journal-restored
   std::uint64_t intervals_observed = 0;  // observer callbacks fired
   std::uint64_t steals = 0;              // jobs taken from another worker
   double wall_seconds = 0.0;
 
+  /// Accesses simulated (not restored) by this run per wall second.
   double accesses_per_second() const {
     return wall_seconds > 0.0
-               ? static_cast<double>(total_accesses) / wall_seconds
+               ? static_cast<double>(total_accesses - restored_accesses) /
+                     wall_seconds
                : 0.0;
   }
 };

@@ -77,6 +77,21 @@ std::vector<SweepJob> sample_grid() {
       jobs.push_back(std::move(job));
     }
   }
+  // One contention job (core/contention.h): a streaming walk through a
+  // single MSHR and a 2 B/cycle fill edge, so the grid's outcomes carry
+  // a nonzero stall breakdown.
+  SweepJob contended;
+  contended.config = small_config(4);
+  contended.config.latency.miss_cycles = 8;
+  contended.config.contention.mshrs = 1;
+  contended.config.contention.bytes_per_cycle = 2;
+  contended.make_source = [] {
+    return std::make_unique<SyntheticTraceSource>(
+        make_streaming_workload(256 * 1024), kAccesses);
+  };
+  contended.lut = &aging().lut();
+  contended.label = "streaming M=4 mshrs=1 bandwidth=2";
+  jobs.push_back(std::move(contended));
   return jobs;
 }
 
@@ -119,6 +134,160 @@ TEST(Serialization, SuccessfulOutcomeRoundTripsExactly) {
     EXPECT_EQ(restored.result.total_cycles, o.result.total_cycles);
     EXPECT_EQ(restored.result.units.size(), o.result.units.size());
   }
+}
+
+CacheStats distinct_stats(std::uint64_t base) {
+  CacheStats s;
+  s.accesses = base + 1;
+  s.hits = base + 2;
+  s.misses = base + 3;
+  s.writebacks = base + 4;
+  s.flushes = base + 5;
+  s.flushed_dirty = base + 6;
+  return s;
+}
+
+EnergyReport distinct_energy(double base) {
+  EnergyReport e;
+  e.partitioned.dynamic_pj = base + 0.125;
+  e.partitioned.leakage_active_pj = base + 0.25;
+  e.partitioned.leakage_retention_pj = base + 0.375;
+  e.partitioned.leakage_drowsy_pj = base + 0.5;
+  e.partitioned.transition_pj = base + 0.625;
+  e.baseline_pj = base + 0.75;
+  return e;
+}
+
+void expect_stats_eq(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+  EXPECT_EQ(a.flushes, b.flushes);
+  EXPECT_EQ(a.flushed_dirty, b.flushed_dirty);
+}
+
+void expect_energy_eq(const EnergyReport& a, const EnergyReport& b) {
+  EXPECT_EQ(a.partitioned.dynamic_pj, b.partitioned.dynamic_pj);
+  EXPECT_EQ(a.partitioned.leakage_active_pj, b.partitioned.leakage_active_pj);
+  EXPECT_EQ(a.partitioned.leakage_retention_pj,
+            b.partitioned.leakage_retention_pj);
+  EXPECT_EQ(a.partitioned.leakage_drowsy_pj, b.partitioned.leakage_drowsy_pj);
+  EXPECT_EQ(a.partitioned.transition_pj, b.partitioned.transition_pj);
+  EXPECT_EQ(a.baseline_pj, b.baseline_pj);
+}
+
+// Every stored field set by hand to a distinct nonzero value and compared
+// field by field after the round trip.  Comparing serialized strings
+// would pass with a field dropped on both sides — which is how the three
+// contention stall counters once went missing from resumed runs.
+TEST(Serialization, EveryFieldRoundTripsByHand) {
+  SweepOutcome o;
+  o.attempts = 2;
+  o.intervals = 17;
+  o.label = "job";
+  SimResult& r = o.result;
+  r.workload = "cjpeg";
+  r.config_label = "8k M=4";
+  r.granularity = Granularity::kWay;
+  r.policy = PowerPolicy::kDrowsyHybrid;
+  r.accesses = 101;
+  r.total_cycles = 102;
+  r.stall_cycles = 103;
+  r.mshr_stall_cycles = 104;
+  r.port_stall_cycles = 105;
+  r.bw_stall_cycles = 106;
+  r.breakeven_cycles = 107;
+  r.reindex_updates_applied = 108;
+  r.cache_stats = distinct_stats(200);
+  for (int k = 0; k < 2; ++k) {
+    UnitResult u;
+    u.accesses = 301 + 10 * k;
+    u.sleep_cycles = 302 + 10 * k;
+    u.sleep_residency = 0.303 + k;
+    u.useful_idleness_count = 0.304 + k;
+    u.sleep_episodes = 305 + 10 * k;
+    u.drowsy_cycles = 306 + 10 * k;
+    u.gated_episodes = 307 + 10 * k;
+    u.lifetime_years = 3.08 + k;
+    r.units.push_back(u);
+  }
+  r.level_stats = {distinct_stats(400), distinct_stats(410)};
+  r.level_units = {501, 502};
+  r.energy = distinct_energy(600);
+  CacheLifetimeResult lt;
+  lt.banks = {BankLifetime{0.701, 0.702, 7.03}, BankLifetime{0.711, 0.712, 7.13}};
+  lt.lifetime_years = 7.04;
+  lt.limiting_bank = 705;
+  r.lifetime = lt;
+  CoreResult c;
+  c.workload = "dijkstra";
+  c.accesses = 801;
+  c.stall_cycles = 802;
+  c.llc_way_mask = 803;
+  c.level_stats = {distinct_stats(810)};
+  c.llc_stats = distinct_stats(820);
+  c.energy = distinct_energy(830);
+  c.avg_residency = 0.804;
+  o.cores = {c};
+
+  const SweepOutcome back = deserialize_outcome(serialize_outcome(o));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.attempts, 2u);
+  EXPECT_EQ(back.intervals, 17u);
+  EXPECT_EQ(back.label, "job");
+  const SimResult& b = back.result;
+  EXPECT_EQ(b.workload, r.workload);
+  EXPECT_EQ(b.config_label, r.config_label);
+  EXPECT_EQ(b.granularity, r.granularity);
+  EXPECT_EQ(b.policy, r.policy);
+  EXPECT_EQ(b.accesses, r.accesses);
+  EXPECT_EQ(b.total_cycles, r.total_cycles);
+  EXPECT_EQ(b.stall_cycles, r.stall_cycles);
+  EXPECT_EQ(b.mshr_stall_cycles, r.mshr_stall_cycles);
+  EXPECT_EQ(b.port_stall_cycles, r.port_stall_cycles);
+  EXPECT_EQ(b.bw_stall_cycles, r.bw_stall_cycles);
+  EXPECT_EQ(b.breakeven_cycles, r.breakeven_cycles);
+  EXPECT_EQ(b.reindex_updates_applied, r.reindex_updates_applied);
+  expect_stats_eq(b.cache_stats, r.cache_stats);
+  ASSERT_EQ(b.units.size(), r.units.size());
+  for (std::size_t k = 0; k < r.units.size(); ++k) {
+    EXPECT_EQ(b.units[k].accesses, r.units[k].accesses);
+    EXPECT_EQ(b.units[k].sleep_cycles, r.units[k].sleep_cycles);
+    EXPECT_EQ(b.units[k].sleep_residency, r.units[k].sleep_residency);
+    EXPECT_EQ(b.units[k].useful_idleness_count,
+              r.units[k].useful_idleness_count);
+    EXPECT_EQ(b.units[k].sleep_episodes, r.units[k].sleep_episodes);
+    EXPECT_EQ(b.units[k].drowsy_cycles, r.units[k].drowsy_cycles);
+    EXPECT_EQ(b.units[k].gated_episodes, r.units[k].gated_episodes);
+    EXPECT_EQ(b.units[k].lifetime_years, r.units[k].lifetime_years);
+  }
+  ASSERT_EQ(b.level_stats.size(), 2u);
+  expect_stats_eq(b.level_stats[0], r.level_stats[0]);
+  expect_stats_eq(b.level_stats[1], r.level_stats[1]);
+  EXPECT_EQ(b.level_units, r.level_units);
+  expect_energy_eq(b.energy, r.energy);
+  ASSERT_TRUE(b.lifetime.has_value());
+  ASSERT_EQ(b.lifetime->banks.size(), 2u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(b.lifetime->banks[k].sleep_residency,
+              lt.banks[k].sleep_residency);
+    EXPECT_EQ(b.lifetime->banks[k].p0, lt.banks[k].p0);
+    EXPECT_EQ(b.lifetime->banks[k].lifetime_years, lt.banks[k].lifetime_years);
+  }
+  EXPECT_EQ(b.lifetime->lifetime_years, lt.lifetime_years);
+  EXPECT_EQ(b.lifetime->limiting_bank, lt.limiting_bank);
+  ASSERT_EQ(back.cores.size(), 1u);
+  const CoreResult& bc = back.cores[0];
+  EXPECT_EQ(bc.workload, c.workload);
+  EXPECT_EQ(bc.accesses, c.accesses);
+  EXPECT_EQ(bc.stall_cycles, c.stall_cycles);
+  EXPECT_EQ(bc.llc_way_mask, c.llc_way_mask);
+  ASSERT_EQ(bc.level_stats.size(), 1u);
+  expect_stats_eq(bc.level_stats[0], c.level_stats[0]);
+  expect_stats_eq(bc.llc_stats, c.llc_stats);
+  expect_energy_eq(bc.energy, c.energy);
+  EXPECT_EQ(bc.avg_residency, c.avg_residency);
 }
 
 TEST(Serialization, AwkwardDoublesSurviveHexfloat) {
@@ -210,6 +379,11 @@ TEST(Serialization, MultiCoreOutcomeRoundTripsCores) {
 TEST(Serialization, MalformedRecordsAreRejected) {
   EXPECT_THROW(deserialize_outcome(""), ParseError);
   EXPECT_THROW(deserialize_outcome("2 1 0 0 ~ ~"), ParseError);  // bad bool
+  // A failed outcome's envelope loads; a signed or padded count does not
+  // (strtoull alone would read "-1" as 2^64-1).
+  EXPECT_EQ(deserialize_outcome("0 1 0 0 ~ ~").attempts, 1u);
+  EXPECT_THROW(deserialize_outcome("0 -1 0 0 ~ ~"), ParseError);
+  EXPECT_THROW(deserialize_outcome("0 +1 0 0 ~ ~"), ParseError);
   SweepOutcome o;
   o.attempts = 1;
   const std::string good = serialize_outcome(o);
@@ -366,6 +540,9 @@ TEST(Resume, MergedOutcomesMatchUninterruptedRunBitForBit) {
   SweepRunner reference_runner;  // width from env
   const std::vector<SweepOutcome> reference = reference_runner.run(jobs);
   for (const SweepOutcome& o : reference) ASSERT_TRUE(o.ok());
+  // The contention job (last) must exercise the stall breakdown, or the
+  // comparison below cannot catch a dropped stall field.
+  ASSERT_GT(reference.back().result.mshr_stall_cycles, 0u);
 
   const std::string path = temp_path("journal_resume.pcalj");
   const JournalHeader header = sample_header(jobs.size());
@@ -406,6 +583,11 @@ TEST(Resume, MergedOutcomesMatchUninterruptedRunBitForBit) {
     ASSERT_TRUE(resumed[i].ok()) << "job " << i;
     EXPECT_EQ(serialize_outcome(resumed[i]), serialize_outcome(reference[i]))
         << "job " << i;
+    const SimResult& got = resumed[i].result;
+    const SimResult& want = reference[i].result;
+    EXPECT_EQ(got.mshr_stall_cycles, want.mshr_stall_cycles) << "job " << i;
+    EXPECT_EQ(got.port_stall_cycles, want.port_stall_cycles) << "job " << i;
+    EXPECT_EQ(got.bw_stall_cycles, want.bw_stall_cycles) << "job " << i;
   }
 
   // The journal now holds the whole grid: a second resume runs nothing.

@@ -77,8 +77,32 @@ def test_run_single():
     lv = r["levels"]
     assert len(lv) == 1 and lv[0]["units"] == 4
     assert lv[0]["hits"] + lv[0]["misses"] == lv[0]["accesses"]
+    assert lv[0]["flushes"] >= 0 and lv[0]["flushed_dirty"] >= 0
     assert 0.0 <= r["idleness"] <= 1.0
+    assert r["hit_rate"] == lv[0]["hits"] / lv[0]["accesses"]
     assert r["cores"] == []
+
+
+def test_dict_keys_follow_the_result_schema():
+    # docs/result_schema_v1.json is rendered from the same field table
+    # as the dicts: a result dict carries every row key but the JSON-only
+    # envelope, with integers as ints and the rest as floats.
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "..", "..", "docs",
+                           "result_schema_v1.json")) as f:
+        schema = json.load(f)
+    r = pcal.run({"cores": 2, "llc_size": "64k", "cache_size": "8k",
+                  "banks": 4, "workload": "uniform", "accesses": 20000})
+    python_type = {"string": str, "integer": int, "number": float}
+    for props, d in ((schema["properties"], r),
+                     (schema["definitions"]["core"]["properties"],
+                      r["cores"][0])):
+        scalars = {k: v["type"] for k, v in props.items()
+                   if v["type"] in python_type and k != "job"}
+        assert set(scalars) == {k for k, v in d.items()
+                                if not isinstance(v, list)}, sorted(d)
+        for key, kind in scalars.items():
+            assert type(d[key]) is python_type[kind], (key, d[key])
 
 
 def test_run_multicore():

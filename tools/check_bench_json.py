@@ -67,34 +67,30 @@ CORE_SCHEMA = {
     "steals": (int,),
 }
 
-RESULT_ROW_SCHEMA = {
-    "workload": (str,),
-    "config": (str,),
-    "accesses": (int,),
-    "total_cycles": (int,),
-    "stall_cycles": (int,),
-    "mshr_stall_cycles": (int,),
-    "port_stall_cycles": (int,),
-    "bw_stall_cycles": (int,),
-    "avg_latency": (int, float),
-    "energy_pj": (int, float),
-    "idleness": (int, float),
-    "lifetime_years": (int, float),
+# Result rows and their per-core entries: the required keys and JSON
+# types of docs/result_schema_v1.json, which the engine renders from its
+# one field table (src/core/result_fields.h).
+RESULT_SCHEMA = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "../docs/result_schema_v1.json"
+)
+JSON_TYPES = {
+    "string": (str,),
+    "integer": (int,),
+    "number": (int, float),
+    "boolean": (bool,),
 }
 
-# Per-core entries inside a multi-core result row's "cores" array
-# (written by write_result_row when the job ran a MultiCoreSystem).
-CORE_ROW_SCHEMA = {
-    "workload": (str,),
-    "accesses": (int,),
-    "stall_cycles": (int,),
-    "llc_way_mask": (int,),
-    "l1_hit_rate": (int, float),
-    "llc_accesses": (int,),
-    "llc_hits": (int,),
-    "energy_pj": (int, float),
-    "idleness": (int, float),
-}
+
+def required_types(schema):
+    """key -> allowed types for every required key of an object schema."""
+    props = schema["properties"]
+    return {k: JSON_TYPES[props[k]["type"]] for k in schema["required"]}
+
+
+with open(RESULT_SCHEMA, encoding="utf-8") as _f:
+    _schema = json.load(_f)
+ROW_TYPES = required_types(_schema)
+CORE_TYPES = required_types(_schema["definitions"]["core"])
 
 # Structured failed-job entries (pcalsweep --on-failure record).
 FAILURE_ROW_SCHEMA = {
@@ -167,7 +163,7 @@ def check_cores(row, i, bad):
         if not isinstance(core, dict):
             bad("result row %d core %d is not an object" % (i, k))
             return
-        for key, types in CORE_ROW_SCHEMA.items():
+        for key, types in CORE_TYPES.items():
             if key not in core or not typed(core[key], types):
                 bad("result row %d core %d: bad or missing '%s'" % (i, k, key))
                 return
@@ -310,7 +306,7 @@ def check_record(path, allow_failures=False):
                 if not isinstance(row, dict):
                     bad("result row %d is not an object" % i)
                     continue
-                for key, types in RESULT_ROW_SCHEMA.items():
+                for key, types in ROW_TYPES.items():
                     if key not in row or not typed(row[key], types):
                         bad("result row %d: bad or missing '%s'" % (i, key))
                 if not row.get("ok", True):

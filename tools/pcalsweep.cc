@@ -454,11 +454,7 @@ int main(int argc, char** argv) {
     std::vector<bool> have_journaled(jobs.size(), false);
     if (!opt.resume_path.empty()) {
       const LoadedJournal loaded = load_journal(opt.resume_path);
-      if (loaded.header.fingerprint != header.fingerprint ||
-          loaded.header.jobs != header.jobs ||
-          loaded.header.accesses != header.accesses ||
-          loaded.header.shard_index != header.shard_index ||
-          loaded.header.shard_count != header.shard_count) {
+      if (!loaded.header.same_run(header)) {
         std::cerr << "pcalsweep: error: " << opt.resume_path
                   << " was journaled for a different run (fingerprint "
                   << hex16(loaded.header.fingerprint) << ", "
@@ -543,11 +539,13 @@ int main(int argc, char** argv) {
                 << spec.timeline_dir() << "\n";
     }
 
-    // Resumed runs recompute the merged aggregate; plain runs keep the
+    // Resumed runs recompute the merged aggregate — the rate still
+    // counts only what this invocation simulated; plain runs keep the
     // runner's stats verbatim (threads/wall/steals are run-varying
     // either way and normalized out of record diffs).
     SweepStats stats = runner.last_stats();
     if (!opt.resume_path.empty()) {
+      const std::uint64_t simulated = stats.total_accesses;
       stats.jobs = outcomes.size();
       stats.failed_jobs = 0;
       stats.total_accesses = 0;
@@ -559,6 +557,7 @@ int main(int argc, char** argv) {
           ++stats.failed_jobs;
         stats.intervals_observed += o.intervals;
       }
+      stats.restored_accesses = stats.total_accesses - simulated;
     }
 
     std::size_t failed = 0;
