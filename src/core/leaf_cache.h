@@ -180,6 +180,7 @@ class LeafCache : public ManagedCache {
     PCAL_ASSERT_MSG(!finished_, "cache already finished");
     constexpr std::size_t kChunk = 256;
     LeafIndex ix[kChunk];
+    AccessOutcome discard;  // the one outcome slot of a stalls-only batch
     std::uint64_t stalls = 0;
     for (std::size_t base = 0; base < n; base += kChunk) {
       const std::size_t m = std::min(kChunk, n - base);
@@ -189,7 +190,7 @@ class LeafCache : public ManagedCache {
         const MemAccess& a = accesses[base + j];
         const std::uint64_t stall =
             serve(ix[j], a.address, a.kind == AccessKind::kWrite,
-                  /*allocate=*/true, out[base + j]);
+                  /*allocate=*/true, out ? out[base + j] : discard);
         cycle_ += stall;
         stalls += stall;
       }

@@ -278,6 +278,11 @@ class ManagedCache {
   /// One caveat for `out` reuse across calls: entries of events[] at
   /// and past num_events are unspecified.
   ///
+  /// A null `out` means stalls only: the accesses are simulated exactly
+  /// as above and no outcome is stored.  Simulator::run passes null
+  /// unless a consumer (contention) reads the outcomes; a 256-access
+  /// outcome array is larger than a typical L1 data cache.
+  ///
   /// Returns the batch's summed stall_cycles, so the driver's clock
   /// never has to re-read the strided outcome array.
   std::uint64_t access_batch(const MemAccess* accesses, std::size_t n,
@@ -365,10 +370,11 @@ class ManagedCache {
                                         std::size_t n, AccessOutcome* out) {
     std::uint64_t stalls = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = access(accesses[i].address,
-                      accesses[i].kind == AccessKind::kWrite);
-      if (out[i].stall_cycles != 0) advance_idle(out[i].stall_cycles);
-      stalls += out[i].stall_cycles;
+      const AccessOutcome o =
+          access(accesses[i].address, accesses[i].kind == AccessKind::kWrite);
+      if (o.stall_cycles != 0) advance_idle(o.stall_cycles);
+      stalls += o.stall_cycles;
+      if (out) out[i] = o;
     }
     return stalls;
   }

@@ -298,7 +298,9 @@ SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
                               kMaxDriverBatch));
   const std::size_t max_take = contention.enabled() ? 1 : batch_size;
   std::vector<MemAccess> buf(batch_size);
-  std::vector<AccessOutcome> outs(max_take);
+  // Only contention reads outcomes; every other run asks for stalls only.
+  std::vector<AccessOutcome> outs(contention.enabled() ? 1 : 0);
+  AccessOutcome* const out = outs.empty() ? nullptr : outs.data();
   for (;;) {
     const std::size_t n = source.next_batch(buf.data(), batch_size);
     if (n == 0) break;
@@ -308,7 +310,7 @@ SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
       if (interval != 0)
         take = std::min<std::uint64_t>(take, interval - since_boundary);
       std::uint64_t stalls =
-          cache->access_batch(buf.data() + pos, take, outs.data());
+          cache->access_batch(buf.data() + pos, take, out);
       if (contention.enabled()) {
         const std::uint64_t now = timing.total_cycles();
         std::uint64_t extra = 0;

@@ -1,5 +1,6 @@
 #include "trace/multiprogram.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -99,15 +100,28 @@ void MultiProgramSource::reset() {
 }
 
 std::optional<MemAccess> MultiProgramSource::next() {
-  if (produced_ >= num_accesses_) return std::nullopt;
-  const std::uint64_t prog = program_at(produced_);
-  ++produced_;
-  auto a = sources_[prog]->next();
-  // Programs are sized to the whole run, so they cannot run dry before
-  // the scheduler does.
-  PCAL_ASSERT(a.has_value());
-  a->address += prog * config_.address_stride;
+  MemAccess a;
+  if (next_batch(&a, 1) == 0) return std::nullopt;
   return a;
+}
+
+std::size_t MultiProgramSource::next_batch(MemAccess* out, std::size_t max) {
+  const std::uint64_t quantum = config_.quantum_accesses;
+  std::size_t n = 0;
+  while (n < max && produced_ < num_accesses_) {
+    const std::uint64_t prog = program_at(produced_);
+    const std::size_t run = static_cast<std::size_t>(std::min<std::uint64_t>(
+        {max - n, num_accesses_ - produced_, quantum - produced_ % quantum}));
+    // Programs are sized to the whole run, so they cannot run dry before
+    // the scheduler does.
+    const std::size_t got = sources_[prog]->next_batch(out + n, run);
+    PCAL_ASSERT(got == run);
+    const std::uint64_t offset = prog * config_.address_stride;
+    for (std::size_t i = n; i < n + run; ++i) out[i].address += offset;
+    n += run;
+    produced_ += run;
+  }
+  return n;
 }
 
 std::string MultiProgramSource::name() const {

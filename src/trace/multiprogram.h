@@ -42,6 +42,9 @@ class MultiProgramSource final : public TraceSource {
   MultiProgramSource(MultiProgramConfig config, std::uint64_t num_accesses);
 
   std::optional<MemAccess> next() override;
+  /// Pulls whole runs up to the next quantum boundary from the scheduled
+  /// program's own next_batch; next() is a batch of one.
+  std::size_t next_batch(MemAccess* out, std::size_t max) override;
   void reset() override;
   std::optional<std::uint64_t> size_hint() const override {
     return num_accesses_;

@@ -135,7 +135,10 @@ void SyntheticTraceSource::begin_window(std::uint64_t w) {
   }
 }
 
-std::uint64_t SyntheticTraceSource::gen_address(std::size_t i) {
+// `inline`: its one caller is generate_run's per-access loop, and an
+// out-of-line call there keeps the generator state in memory.
+inline std::uint64_t SyntheticTraceSource::gen_address(std::size_t i,
+                                                       Xoshiro256& rng) {
   const StreamSpec& s = spec_.streams[i];
   StreamState& st = states_[i];
   const std::uint64_t len = s.range_end - s.range_begin;
@@ -154,12 +157,13 @@ std::uint64_t SyntheticTraceSource::gen_address(std::size_t i) {
       return a;
     }
     case StreamPattern::kZipf: {
-      const std::uint64_t line = st.zipf->sample(rng_);
-      const std::uint64_t off = line * 16 + rng_.next_below(16) / 4 * 4;
+      const std::uint64_t line = st.zipf->sample(rng);
+      const std::uint64_t off = line * 16 + rng.next_below(16) / 4 * 4;
       return s.range_begin + std::min(off, len - 1);
     }
     case StreamPattern::kUniformRandom: {
-      const std::uint64_t line = rng_.next_below(std::max<std::uint64_t>(st.lines, 1));
+      const std::uint64_t line =
+          rng.next_below(std::max<std::uint64_t>(st.lines, 1));
       return s.range_begin + std::min(line * 16, len - 1);
     }
   }
@@ -167,27 +171,60 @@ std::uint64_t SyntheticTraceSource::gen_address(std::size_t i) {
 }
 
 std::optional<MemAccess> SyntheticTraceSource::next() {
-  if (produced_ >= num_accesses_) return std::nullopt;
-  if (in_window_ == spec_.window_len) {
-    in_window_ = 0;
-    begin_window(++window_);
-  }
-  ++in_window_;
-  ++produced_;
+  MemAccess a;
+  if (next_batch(&a, 1) == 0) return std::nullopt;
+  return a;
+}
 
-  // Pick an active stream, weighted.
-  std::size_t chosen = active_idx_.front();
-  if (active_idx_.size() > 1) {
-    const double u = rng_.next_double() * active_cdf_.back();
-    const auto it =
-        std::lower_bound(active_cdf_.begin(), active_cdf_.end(), u);
-    chosen = active_idx_[static_cast<std::size_t>(it - active_cdf_.begin())];
+// The active-stream set only changes at window boundaries, so a batch is
+// a sequence of runs, each inside one window.  A window opens lazily, when
+// its first access is due, exactly as a one-access-at-a-time reader would
+// open it; the stream state at any position is therefore independent of
+// how the stream was split into batches.
+std::size_t SyntheticTraceSource::next_batch(MemAccess* out,
+                                             std::size_t max) {
+  std::size_t n = 0;
+  while (n < max && produced_ < num_accesses_) {
+    if (in_window_ == spec_.window_len) {
+      in_window_ = 0;
+      begin_window(++window_);
+    }
+    const std::size_t run = static_cast<std::size_t>(std::min<std::uint64_t>(
+        {max - n, num_accesses_ - produced_, spec_.window_len - in_window_}));
+    generate_run(out + n, run);
+    n += run;
+    produced_ += run;
+    in_window_ += run;
   }
-  const std::uint64_t addr = gen_address(chosen);
-  const AccessKind kind = rng_.next_bool(spec_.write_fraction)
-                              ? AccessKind::kWrite
-                              : AccessKind::kRead;
-  return MemAccess{addr, kind};
+  return n;
+}
+
+// Per access, in this order: the stream pick (only with more than one
+// active stream), the stream's address draws, the write draw.
+void SyntheticTraceSource::generate_run(MemAccess* out, std::size_t n) {
+  // A local copy: out[] holds uint64_t addresses, which could alias the
+  // member state and force a reload of it on every access.
+  Xoshiro256 rng = rng_;
+  const std::size_t* idx = active_idx_.data();
+  const double* cdf = active_cdf_.data();
+  const std::size_t last = active_idx_.size() - 1;
+  const double total = cdf[last];
+  const double write_fraction = spec_.write_fraction;
+  for (std::size_t j = 0; j < n; ++j) {
+    // Weighted pick: the number of cumulative weights below u, which is
+    // std::lower_bound's index.  u <= total, so the last weight never
+    // counts and is skipped.
+    std::size_t k = 0;
+    if (last != 0) {
+      const double u = rng.next_double() * total;
+      for (std::size_t s = 0; s < last; ++s) k += cdf[s] < u;
+    }
+    const std::uint64_t addr = gen_address(idx[k], rng);
+    const AccessKind kind = rng.next_bool(write_fraction) ? AccessKind::kWrite
+                                                          : AccessKind::kRead;
+    out[j] = MemAccess{addr, kind};
+  }
+  rng_ = rng;
 }
 
 std::vector<double> measure_window_idleness(TraceSource& source,
@@ -202,18 +239,19 @@ std::vector<double> measure_window_idleness(TraceSource& source,
   std::vector<bool> touched(num_regions, false);
   std::uint64_t windows = 0;
   std::uint64_t in_window = 0;
-  for (;;) {
-    auto a = source.next();
-    if (!a) break;
-    const std::uint64_t region = (a->address % wrap_bytes) / region_bytes;
-    touched[region] = true;
-    if (++in_window == window_len) {
-      for (std::uint64_t r = 0; r < num_regions; ++r) {
-        if (!touched[r]) ++idle_windows[r];
-        touched[r] = false;
+  MemAccess buf[kReadChunk];
+  while (const std::size_t n = source.next_batch(buf, kReadChunk)) {
+    for (const MemAccess* a = buf; a != buf + n; ++a) {
+      const std::uint64_t region = (a->address % wrap_bytes) / region_bytes;
+      touched[region] = true;
+      if (++in_window == window_len) {
+        for (std::uint64_t r = 0; r < num_regions; ++r) {
+          if (!touched[r]) ++idle_windows[r];
+          touched[r] = false;
+        }
+        ++windows;
+        in_window = 0;
       }
-      ++windows;
-      in_window = 0;
     }
   }
   std::vector<double> out(num_regions, 0.0);

@@ -82,12 +82,15 @@ struct WorkloadSpec {
 
 /// Streaming generator over a WorkloadSpec.  Deterministic for a fixed spec
 /// (including seed): every reset() replays the identical access sequence.
+/// next_batch is the one generation body (next() is a batch of one), so
+/// any mix of batch sizes and next() calls yields the same stream.
 class SyntheticTraceSource final : public TraceSource {
  public:
   /// Generates `num_accesses` accesses total.
   SyntheticTraceSource(WorkloadSpec spec, std::uint64_t num_accesses);
 
   std::optional<MemAccess> next() override;
+  std::size_t next_batch(MemAccess* out, std::size_t max) override;
   void reset() override;
   std::optional<std::uint64_t> size_hint() const override {
     return num_accesses_;
@@ -111,7 +114,11 @@ class SyntheticTraceSource final : public TraceSource {
   /// Recomputes active streams and weights at a window boundary.
   void begin_window(std::uint64_t w);
 
-  std::uint64_t gen_address(std::size_t stream_idx);
+  /// Fills `out` with `n` accesses of the current window, drawing from a
+  /// local copy of the generator state.
+  void generate_run(MemAccess* out, std::size_t n);
+
+  std::uint64_t gen_address(std::size_t stream_idx, Xoshiro256& rng);
 
   WorkloadSpec spec_;
   std::uint64_t num_accesses_;

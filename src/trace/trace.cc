@@ -50,12 +50,13 @@ Trace Trace::materialize(TraceSource& source, std::uint64_t max_accesses) {
   std::vector<MemAccess> out;
   if (auto h = source.size_hint())
     out.reserve(static_cast<std::size_t>(std::min(*h, max_accesses)));
-  std::uint64_t n = 0;
-  while (n < max_accesses) {
-    auto a = source.next();
-    if (!a) break;
-    out.push_back(*a);
-    ++n;
+  MemAccess buf[kReadChunk];
+  while (out.size() < max_accesses) {
+    const std::size_t n = source.next_batch(
+        buf, static_cast<std::size_t>(std::min<std::uint64_t>(
+                 kReadChunk, max_accesses - out.size())));
+    if (n == 0) break;
+    out.insert(out.end(), buf, buf + n);
   }
   return Trace(source.name(), std::move(out));
 }

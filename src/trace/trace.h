@@ -17,6 +17,10 @@
 
 namespace pcal {
 
+/// Batch size of the whole-trace readers (Trace::materialize, the
+/// trace statistics, measure_window_idleness).
+inline constexpr std::size_t kReadChunk = 256;
+
 /// Pull-based access stream.  next() returns nullopt at end of trace.
 class TraceSource {
  public:
@@ -27,7 +31,8 @@ class TraceSource {
   /// Fills `out` with up to `max` accesses; returns how many were
   /// produced (0 == end of trace).  The default forwards to next() — the
   /// batched simulator hot loop calls this, and sources with contiguous
-  /// storage override it to amortize the per-access virtual dispatch.
+  /// storage or a batch-native generator override it to amortize the
+  /// per-access virtual dispatch.
   virtual std::size_t next_batch(MemAccess* out, std::size_t max);
 
   /// Restart the stream from the beginning (must be supported; generators

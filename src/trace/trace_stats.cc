@@ -15,27 +15,28 @@ TraceStats compute_trace_stats(TraceSource& source,
   double reuse_distance_sum = 0.0;
   std::uint64_t reuses = 0;
   bool first = true;
-  for (;;) {
-    auto a = source.next();
-    if (!a) break;
-    const std::uint64_t pos = st.accesses++;
-    if (a->kind == AccessKind::kWrite)
-      ++st.writes;
-    else
-      ++st.reads;
-    if (first) {
-      st.min_address = st.max_address = a->address;
-      first = false;
-    } else {
-      st.min_address = std::min(st.min_address, a->address);
-      st.max_address = std::max(st.max_address, a->address);
-    }
-    const std::uint64_t line = a->address / line_bytes;
-    auto [it, inserted] = last_seen.try_emplace(line, pos);
-    if (!inserted) {
-      ++reuses;
-      reuse_distance_sum += static_cast<double>(pos - it->second);
-      it->second = pos;
+  MemAccess buf[kReadChunk];
+  while (const std::size_t n = source.next_batch(buf, kReadChunk)) {
+    for (const MemAccess* a = buf; a != buf + n; ++a) {
+      const std::uint64_t pos = st.accesses++;
+      if (a->kind == AccessKind::kWrite)
+        ++st.writes;
+      else
+        ++st.reads;
+      if (first) {
+        st.min_address = st.max_address = a->address;
+        first = false;
+      } else {
+        st.min_address = std::min(st.min_address, a->address);
+        st.max_address = std::max(st.max_address, a->address);
+      }
+      const std::uint64_t line = a->address / line_bytes;
+      auto [it, inserted] = last_seen.try_emplace(line, pos);
+      if (!inserted) {
+        ++reuses;
+        reuse_distance_sum += static_cast<double>(pos - it->second);
+        it->second = pos;
+      }
     }
   }
   st.distinct_lines = last_seen.size();

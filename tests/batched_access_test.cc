@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/timeline.h"
+#include "core/hierarchy.h"
 #include "core/managed_cache.h"
 #include "core/simulator.h"
 #include "trace/synthetic.h"
@@ -256,6 +258,66 @@ TEST(AccessBatchEquivalence, OutcomesAndStatsMatchScalarLoop) {
       EXPECT_EQ(si.longest(), bi.longest());
       EXPECT_EQ(si.sleep_cycles(24), bi.sleep_cycles(24));
     }
+  }
+}
+
+// A null outcome buffer asks for stalls only: the same accesses are
+// simulated (clock, statistics, residencies) and the same summed stall
+// comes back — for every leaf backend, the drowsy wrapper that forwards
+// the null, and a hierarchy on the default per-access loop.
+TEST(AccessBatchEquivalence, NullOutcomesMeanStallsOnly) {
+  SyntheticTraceSource src(make_uniform_workload(48 * 1024), 20000);
+  const Trace trace = Trace::materialize(src);
+  const std::vector<MemAccess>& accesses = trace.accesses();
+
+  std::vector<std::pair<std::string, std::function<std::unique_ptr<
+                                         ManagedCache>()>>>
+      makers;
+  for (const Variant& v : kVariants) {
+    const CacheTopology topo =
+        backend_topology(v.granularity, v.policy, v.drowsy_window);
+    makers.emplace_back(v.label, [topo] { return make_managed_cache(topo); });
+  }
+  HierarchyConfig h;
+  const CacheTopology l1 =
+      backend_topology(Granularity::kBank, PowerPolicy::kGated, 0);
+  CacheTopology l2 = l1;
+  l2.cache.size_bytes = 32 * 1024;
+  l2.indexing = IndexingKind::kStatic;
+  h.levels = {{l1, InclusionPolicy::kNonInclusive},
+              {l2, InclusionPolicy::kNonInclusive}};
+  makers.emplace_back("L1+L2",
+                      [h] { return std::make_unique<HierarchicalCache>(h); });
+
+  for (const auto& [label, make] : makers) {
+    SCOPED_TRACE(label);
+    std::unique_ptr<ManagedCache> with_out = make();
+    std::unique_ptr<ManagedCache> stalls_only = make();
+    std::vector<AccessOutcome> outs(4096);
+    std::size_t pos = 0;
+    std::size_t which = 0;
+    while (pos < accesses.size()) {
+      const std::size_t take = static_cast<std::size_t>(std::min<std::uint64_t>(
+          kBatchSizes[which++ % 4], accesses.size() - pos));
+      std::uint64_t summed = 0;
+      const std::uint64_t stalls =
+          with_out->access_batch(accesses.data() + pos, take, outs.data());
+      for (std::size_t i = 0; i < take; ++i) summed += outs[i].stall_cycles;
+      EXPECT_EQ(stalls, summed);
+      EXPECT_EQ(stalls_only->access_batch(accesses.data() + pos, take,
+                                          nullptr),
+                stalls);
+      EXPECT_EQ(stalls_only->cycles(), with_out->cycles());
+      pos += take;
+    }
+    with_out->finish();
+    stalls_only->finish();
+    EXPECT_EQ(stalls_only->stats().hits, with_out->stats().hits);
+    EXPECT_EQ(stalls_only->stats().misses, with_out->stats().misses);
+    EXPECT_EQ(stalls_only->stats().writebacks, with_out->stats().writebacks);
+    ASSERT_EQ(stalls_only->num_units(), with_out->num_units());
+    for (std::uint64_t u = 0; u < with_out->num_units(); ++u)
+      EXPECT_EQ(stalls_only->unit_residency(u), with_out->unit_residency(u));
   }
 }
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "util/error.h"
 
@@ -122,6 +124,71 @@ TEST(Zipf, SingleElement) {
 }
 
 TEST(Zipf, RejectsEmptySupport) { EXPECT_THROW(ZipfSampler(0, 1.0), Error); }
+
+// The guide-table search must return exactly the inverse-CDF binary
+// search's rank: std::lower_bound over the same CDF, for the same u.
+// Besides random draws, every guide bucket edge u = j/K and its two
+// floating-point neighbours are checked, where an off-by-one start would
+// show.
+TEST(Zipf, RankMatchesLowerBoundReference) {
+  for (std::uint64_t n : {1ull, 3ull, 64ull, 1000ull, 4097ull}) {
+    for (double s : {0.0, 0.9, 1.2, 2.0}) {
+      // The reference CDF, built as the sampler documents it.
+      std::vector<double> cdf(n);
+      double acc = 0.0;
+      for (std::uint64_t r = 0; r < n; ++r) {
+        acc += std::pow(static_cast<double>(r + 1), -s);
+        cdf[r] = acc;
+      }
+      for (double& c : cdf) c /= acc;
+      cdf.back() = 1.0;
+      const ZipfSampler z(n, s);
+      bool ok = true;  // report the first mismatch per (n, s) only
+      auto check = [&](double u) {
+        if (!ok || !(u >= 0.0 && u < 1.0)) return;
+        const auto want = static_cast<std::uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        const std::uint64_t got = z.rank_of(u);
+        if (got != want) {
+          ok = false;
+          ADD_FAILURE() << "n=" << n << " s=" << s << " u=" << std::hexfloat
+                        << u << ": rank " << got << ", lower_bound " << want;
+        }
+      };
+      std::uint64_t k = 1;
+      while (k < n) k <<= 1;
+      for (std::uint64_t j = 0; j < k; ++j) {
+        const double edge = static_cast<double>(j) / static_cast<double>(k);
+        check(edge);
+        check(std::nextafter(edge, 0.0));
+        check(std::nextafter(edge, 1.0));
+      }
+      // Every CDF value and its neighbours: the rank boundaries.
+      for (double c : cdf) {
+        check(c);
+        check(std::nextafter(c, 0.0));
+        check(std::nextafter(c, 1.0));
+      }
+      Xoshiro256 r(n * 31 + static_cast<std::uint64_t>(s * 10));
+      for (int i = 0; i < 1'000'000; ++i) check(r.next_double());
+      check(std::nextafter(1.0, 0.0));
+    }
+  }
+}
+
+TEST(Zipf, SampleIsRankOfOneDraw) {
+  const ZipfSampler z(1000, 0.9);
+  Xoshiro256 a(9), b(9);
+  for (int i = 0; i < 10000; ++i)
+    EXPECT_EQ(z.sample(a), z.rank_of(b.next_double()));
+}
+
+TEST(Zipf, RankOfRejectsValuesOutsideTheUnitInterval) {
+  const ZipfSampler z(64, 1.2);
+  EXPECT_THROW(z.rank_of(1.0), Error);
+  EXPECT_THROW(z.rank_of(-0.5), Error);
+  EXPECT_THROW(z.rank_of(std::nan("")), Error);
+}
 
 }  // namespace
 }  // namespace pcal
