@@ -13,9 +13,8 @@
 //   drowsy  the drowsy/gated hybrid over the M = 4 banks (drowsy at the
 //           breakeven, power-gated after a 128-cycle window)
 //
-// Every run is priced: the per-unit energy model (power/unit_energy.h)
-// covers the granularities and policies the legacy bank model cannot, so
-// — unlike pre-PR-3 — there is no zero-energy row at any granularity.
+// Every run is priced by the energy model (power/unit_energy.h) under
+// the st45 preset, so there is no zero-energy row at any granularity.
 // The bench fails (exit 1) if any backend reports zero energy, and the
 // emitted BENCH_drowsy_comparison.json carries a per-backend energy
 // section next to the usual sweep stats.
@@ -43,11 +42,9 @@ std::array<SimConfig, kBackends> backend_configs() {
   std::array<SimConfig, kBackends> configs = {
       monolithic_variant(bank), bank, way, line,
       drowsy_hybrid_variant(bank, 128)};
-  // Apples to apples: every column pays the same per-unit model
-  // (sleep-network overheads included) — otherwise the mono/bank
-  // columns would ride the legacy calibration and the drowsy/way/line
-  // deltas would conflate policy effect with model artifact.
-  for (SimConfig& cfg : configs) cfg.force_unit_pricing = true;
+  // Every column pays the st45 sleep-network overheads, so the
+  // drowsy/way/line deltas are policy effect, not a free sleep network.
+  for (SimConfig& cfg : configs) cfg.energy_params = EnergyParams::st45();
   return configs;
 }
 

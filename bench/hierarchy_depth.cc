@@ -54,8 +54,8 @@ constexpr std::array<const char*, 3> kWorkloads = {"cjpeg", "dijkstra",
 /// realistic latency point; the last level's miss penalty is memory.
 SimConfig stack_config(const Combo& combo, bool timed) {
   SimConfig cfg = paper_config(8192, 16, 4);
-  // Cross-stack comparison: every row pays the same per-unit model.
-  cfg.force_unit_pricing = true;
+  // Every row pays the st45 sleep-network overheads.
+  cfg.energy_params = EnergyParams::st45();
   if (timed) {
     // Wake costs come from the energy model's sleep-hardware constants.
     cfg.latency = wake_latencies(cfg.energy_params);

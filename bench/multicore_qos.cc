@@ -37,7 +37,7 @@ constexpr std::uint64_t kAggressorFootprint = 256 * 1024;
 /// LLC, optionally split 4+4 ways between the cores.
 MultiCoreConfig system_config(std::uint64_t ways_per_core) {
   SimConfig cfg = paper_config(8192, 16, 4);
-  cfg.force_unit_pricing = true;  // cross-config comparison, one model
+  cfg.energy_params = EnergyParams::st45();
   LevelConfig llc = cfg.make_level(64 * 1024);
   llc.topology.cache.ways = 8;
   llc.topology.partition.num_banks = 4;

@@ -22,12 +22,16 @@ struct ThermalOutcome {
 };
 
 ThermalOutcome evaluate(const SimResult& r, const SimConfig& cfg) {
-  const EnergyModel model(cfg.tech, cfg.cache, cfg.partition);
+  const UnitEnergyModel model(cfg.energy_params, cfg.tech,
+                              cfg.topology(r.breakeven_cycles));
   const BankThermalModel thermal;
   std::vector<double> power, residency;
   for (const auto& b : r.units) {
     power.push_back(BankThermalModel::average_power_mw(
-        model, {b.accesses, b.sleep_cycles, b.sleep_episodes}, r.accesses));
+        model,
+        {b.accesses, b.sleep_cycles, b.sleep_episodes,
+         b.useful_idleness_count, b.drowsy_cycles, b.gated_episodes},
+        r.accesses));
     residency.push_back(b.sleep_residency);
   }
   const auto temps = thermal.temperatures(power);

@@ -67,8 +67,7 @@ bool set_f64(PyObject* dict, const char* key, double v) {
   return set_item(dict, key, PyFloat_FromDouble(v));
 }
 
-/// One config entry value: anything str()-able ("8k", 8192, 0.5, True —
-/// str(True) == "True", which the shared boolean parser accepts).
+/// One config entry value: anything str()-able ("8k", 8192, 0.5).
 bool value_to_string(PyObject* obj, std::string* out) {
   PyObject* str = PyObject_Str(obj);
   if (str == nullptr) return false;

@@ -48,6 +48,8 @@
 //   bandwidth = 0
 //   [l3]                     # optional third level (same keys as [l2])
 //   size = 0
+//   [energy]                 # energy model preset (docs/ENERGY_MODEL.md)
+//   preset = paper           # paper | st45 (adds sleep-network costs)
 //   [multiprogram]           # optional: interleave several programs in
 //   programs = cjpeg+sha     # round-robin quanta (overrides [workload]
 //   quantum = 100000         # name); boundaries align re-indexing
@@ -129,6 +131,10 @@ miss_latency = 0
 
 [l3]
 size = 0
+
+# Energy model preset: paper | st45 (docs/ENERGY_MODEL.md):
+[energy]
+preset = paper
 
 # Interleave programs in round-robin quanta (overrides workload.name):
 # [multiprogram]
@@ -382,6 +388,8 @@ int main(int argc, char** argv) {
       lvl_num("ports", cfg.get_u64(section, "ports", 0));
       lvl_num("bandwidth", cfg.get_u64(section, "bandwidth", 0));
     }
+
+    rc.set("energy", cfg.get_string("energy", "preset", "paper"));
 
     const std::uint64_t accesses =
         cfg.get_u64("workload", "accesses", 2'000'000);

@@ -18,8 +18,9 @@ IntervalObserver TimelineRecorder::observer() {
 
 void TimelineRecorder::price_with(const SimConfig& config) {
   models_.clear();
-  // Level 0 with the breakeven the run will actually use (override,
-  // legacy bank model, or the per-unit gate breakeven).
+  // Level 0 with the breakeven the run will actually use, and every
+  // level under the run's own energy_params, so the estimates share
+  // SimResult::energy's parameters.
   models_.emplace_back(config.energy_params, config.tech,
                        config.topology(Simulator(config).breakeven_cycles()));
   for (const LevelConfig& level : config.enabled_lower_levels())

@@ -10,7 +10,7 @@
 // per interval — the compact per-unit state string ("AADG...", one char
 // per unit: Awake/Drowsy/Gated), awake/drowsy/gated counts, tag-store
 // deltas, stall delta, and an optional per-group energy estimate priced
-// by the per-unit model.
+// by the run's energy model.
 //
 // Recording is strictly additive: attach the recorder's observer() to a
 // run and the run's results are bit-identical to an unobserved run (the
@@ -59,7 +59,7 @@ struct TimelineGroupSample {
   std::uint64_t writebacks = 0;
   /// Interval energy estimate (pJ): state-weighted leakage over the
   /// interval's span plus the dynamic cost of its accesses, priced by
-  /// the per-unit model.  An *estimate* — transition energy is not
+  /// the run's energy model.  An *estimate* — transition energy is not
   /// attributable per interval — and 0 unless pricing was attached
   /// (price_with()).
   double energy_est_pj = 0.0;

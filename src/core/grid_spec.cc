@@ -101,10 +101,6 @@ double parse_real(const std::string& s, const std::string& where) {
   return parse_config_real(s, "sweep spec " + where);
 }
 
-bool parse_bool(const std::string& s, const std::string& where) {
-  return parse_config_bool(s, "sweep spec " + where);
-}
-
 /// Expands one range item: "1..32 log2", "2..8 step 2", "1..4".
 std::vector<std::uint64_t> expand_range(const std::string& item,
                                         const std::string& where) {
@@ -504,8 +500,13 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
       spec.footprint_bytes_ = parse_number(e.value, e.where);
       if (spec.footprint_bytes_ == 0)
         fail(e.where, "footprint must be positive");
-    } else if (e.key == "unit_pricing") {
-      spec.unit_pricing_ = parse_bool(e.value, e.where);
+    } else if (e.key == "energy") {
+      try {
+        (void)EnergyParams::preset(e.value);
+      } catch (const ConfigError& err) {
+        fail(e.where, err.what());
+      }
+      spec.energy_ = e.value;
     } else if (e.key == "l2_banks") {
       spec.l2_banks_ = parse_number(e.value, e.where);
     } else if (e.key == "l2_breakeven") {
@@ -523,7 +524,7 @@ GridSpec GridSpec::parse(std::istream& is, const std::string& default_name,
       if (spec.llc_ways_ == 0) fail(e.where, "llc_ways must be positive");
     } else {
       fail(e.where, "unknown [grid] key '" + e.key +
-                        "' (valid: name accesses footprint unit_pricing "
+                        "' (valid: name accesses footprint energy "
                         "l2_banks l2_breakeven l3_banks l3_breakeven "
                         "llc_banks llc_breakeven llc_ways)");
     }
@@ -918,7 +919,7 @@ std::vector<GridJob> GridSpec::expand(std::uint64_t num_accesses) const {
     // seed the assembly; each axis then stages its value (axis order
     // must not matter, which the staged assembly guarantees).
     RunAssembly asmb;
-    asmb.config.force_unit_pricing = unit_pricing_;
+    if (!energy_.empty()) asmb.set("energy", energy_);
     asmb.set("l2_banks", std::to_string(l2_banks_));
     asmb.set("l2_breakeven", std::to_string(l2_breakeven_));
     if (l3_banks_) asmb.set("l3_banks", std::to_string(*l3_banks_));

@@ -138,8 +138,6 @@ class GridSpec {
   /// Accesses per job ([grid] accesses; trace workloads cap at the trace
   /// length).
   std::uint64_t accesses() const { return accesses_; }
-  /// [grid] unit_pricing: price every job with the per-unit model.
-  bool unit_pricing() const { return unit_pricing_; }
   /// [timeline] dir: where runners drop one power-state timeline
   /// artifact per job (docs/TIMELINE.md); empty (the default) disables
   /// timeline emission — runs and their outputs are then bit-identical
@@ -188,7 +186,7 @@ class GridSpec {
   std::string name_;
   std::uint64_t accesses_ = 0;
   std::uint64_t footprint_bytes_ = 64 * 1024;
-  bool unit_pricing_ = false;
+  std::string energy_;  // [grid] energy preset; empty = the default
   std::string timeline_dir_;
   std::uint64_t l2_banks_ = 4;
   std::uint64_t l2_breakeven_ = 64;

@@ -86,7 +86,7 @@ struct MultiCoreConfig {
   /// unshifted, which is what makes the 1-core degeneracy exact.
   std::uint64_t address_stride = std::uint64_t{1} << 20;
   TechnologyParams tech = TechnologyParams::st45();
-  EnergyParams energy_params = EnergyParams::st45();
+  EnergyParams energy_params = EnergyParams::paper();
 
   /// True iff any core carries an LLC way mask.
   bool partitioned() const;

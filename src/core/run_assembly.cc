@@ -49,15 +49,6 @@ double parse_config_real(const std::string& s, const std::string& where) {
                    "' is not a finite non-negative real number");
 }
 
-bool parse_config_bool(const std::string& s, const std::string& where) {
-  const std::string lower = to_lower(std::string(trim(s)));
-  if (lower == "true" || lower == "1" || lower == "yes" || lower == "on")
-    return true;
-  if (lower == "false" || lower == "0" || lower == "no" || lower == "off")
-    return false;
-  throw ParseError(where + ": '" + s + "' is not a boolean");
-}
-
 namespace {
 
 /// `value` if it is at most `bound`, else a ConfigError naming `where`.
@@ -68,6 +59,19 @@ std::uint64_t at_most(std::uint64_t value, std::uint64_t bound,
                       " exceeds the bound " + std::to_string(bound) +
                       " that keeps the clock below 2^63 cycles");
   return value;
+}
+
+/// The EnergyParams field an energy_* key sets, or null.
+double EnergyParams::*energy_field(const std::string& key) {
+  if (key == "energy_drowsy_leak") return &EnergyParams::drowsy_leak_fraction;
+  if (key == "energy_gated_leak") return &EnergyParams::gated_leak_fraction;
+  if (key == "energy_sleep_overhead")
+    return &EnergyParams::sleep_area_leak_overhead;
+  if (key == "energy_control_leak_uw")
+    return &EnergyParams::control_leak_uw_per_unit;
+  if (key == "energy_gate_fixed_pj")
+    return &EnergyParams::gate_transition_fixed_pj;
+  return nullptr;
 }
 
 /// The most stall cycles one access can cost at one level: the larger
@@ -193,24 +197,17 @@ void RunAssembly::set(const std::string& key, const std::string& value,
     config.contention.mshr_latency_cycles = cycles();
   else if (key == "port_cycles")
     config.contention.port_cycles = cycles();
-  else if (key == "energy_drowsy_leak")
-    config.energy_params.drowsy_leak_fraction = real();
-  else if (key == "energy_gated_leak")
-    config.energy_params.gated_leak_fraction = real();
-  else if (key == "energy_sleep_overhead")
-    config.energy_params.sleep_area_leak_overhead = real();
-  else if (key == "energy_control_leak_uw")
-    config.energy_params.control_leak_uw_per_unit = real();
-  else if (key == "energy_gate_fixed_pj")
-    config.energy_params.gate_transition_fixed_pj = real();
   else if (key == "granularity")
     config.granularity = granularity_from_string(value);
   else if (key == "indexing")
     config.indexing = indexing_kind_from_string(value);
   else if (key == "policy")
     config.policy = power_policy_from_string(value);
-  else if (key == "unit_pricing")
-    config.force_unit_pricing = parse_config_bool(value, where);
+  // ---- energy: the preset, then field overrides over it ----
+  else if (key == "energy")
+    energy_preset_ = EnergyParams::preset(value);
+  else if (const auto field = energy_field(key))
+    energy_fields_.emplace_back(field, real());
   // ---- hierarchy / inclusion ----
   else if (key == "inclusion")
     inclusion_ = inclusion_policy_from_string(value);
@@ -268,7 +265,7 @@ bool RunAssembly::knows(const std::string& key) {
       "energy_gated_leak", "energy_sleep_overhead",
       "energy_control_leak_uw", "energy_gate_fixed_pj",
       "granularity", "indexing",     "policy",
-      "unit_pricing", "inclusion",   "cores",
+      "energy",      "inclusion",    "cores",
       "llc_size",    "llc_ways",     "llc_banks",
       "llc_breakeven", "llc_ways_per_core",
       "llc_mshrs",   "llc_ports",    "llc_bandwidth",
@@ -293,6 +290,11 @@ bool RunAssembly::knows(const std::string& key) {
 
 RunAssembly::Assembled RunAssembly::assemble() const {
   SimConfig cfg = config;
+  // The preset first, then every energy_* field over it, so neither key
+  // nor axis order can matter.
+  if (energy_preset_) cfg.energy_params = *energy_preset_;
+  for (const auto& [field, value] : energy_fields_)
+    cfg.energy_params.*field = value;
 
   // Resolve L2 against the documented defaults, then L3 against the
   // *resolved* L2 (the sweep grid's inheritance, bit for bit).  Knobs

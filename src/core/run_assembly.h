@@ -30,6 +30,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/multicore.h"
 #include "core/simulator.h"
@@ -54,9 +56,6 @@ std::uint64_t parse_config_number(const std::string& s,
 /// Finite non-negative real number ("0.25"); "inf"/"nan" are rejected.
 double parse_config_real(const std::string& s, const std::string& where);
 
-/// "true/1/yes/on" or "false/0/no/off", case-insensitive.
-bool parse_config_bool(const std::string& s, const std::string& where);
-
 /// "core<k>_workload" keys pin one core of a multi-core run to its own
 /// workload; returns the core index, or -1 for any other key.
 int core_workload_index(const std::string& key);
@@ -72,14 +71,15 @@ class RunAssembly {
   };
 
   /// The staged L1/global config.  Callers may pre-seed fields that have
-  /// no key spelling (the sweep grid seeds force_unit_pricing) before or
-  /// between set() calls; flat keys apply to it immediately.
+  /// no key spelling before or between set() calls; flat keys apply to
+  /// it immediately.
   SimConfig config;
 
   /// Stages one "key = value" pair.  Flat L1/global keys apply to
   /// `config` immediately; hierarchy (l2_*/l3_*), multi-core (cores,
-  /// llc_*), and run-level keys (workload, accesses, footprint,
-  /// unit_pricing, core<k>_workload) are staged for assemble().  Throws
+  /// llc_*), energy (the `energy` preset, then energy_* fields over it)
+  /// and run-level keys (workload, accesses, footprint,
+  /// core<k>_workload) are staged for assemble().  Throws
   /// ConfigError on an unknown key and ParseError on a malformed value,
   /// both naming `where` (defaults to the key itself).
   void set(const std::string& key, const std::string& value);
@@ -138,6 +138,8 @@ class RunAssembly {
   std::optional<std::uint64_t> llc_ways_, llc_banks_, llc_breakeven_;
   std::optional<std::uint64_t> llc_mshrs_, llc_ports_, llc_bandwidth_;
   std::optional<InclusionPolicy> llc_inclusion_;
+  std::optional<EnergyParams> energy_preset_;
+  std::vector<std::pair<double EnergyParams::*, double>> energy_fields_;
   std::string workload_;
   std::uint64_t accesses_ = 2'000'000;
   std::uint64_t footprint_bytes_ = 64 * 1024;

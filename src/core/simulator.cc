@@ -5,7 +5,6 @@
 
 #include "core/contention.h"
 #include "core/hierarchy.h"
-#include "power/energy_model.h"
 #include "util/error.h"
 
 namespace pcal {
@@ -19,9 +18,9 @@ constexpr std::uint64_t kMaxDriverBatch = 1 << 16;
 /// monolithic configs still stream interval stats).
 constexpr std::uint64_t kDefaultObserverIntervals = 16;
 
-/// The partition the energy model prices.  A monolithic cache is one bank
-/// of the full size regardless of what `partition` says (it is ignored at
-/// that granularity).
+/// The L1 partition.  A monolithic cache is one bank of the full size
+/// regardless of what `partition` says (it is ignored at that
+/// granularity).
 PartitionConfig effective_partition(const SimConfig& config) {
   if (config.granularity == Granularity::kMonolithic) {
     PartitionConfig mono;
@@ -29,18 +28,6 @@ PartitionConfig effective_partition(const SimConfig& config) {
     return mono;
   }
   return config.partition;
-}
-
-/// True iff the run keeps the legacy paper-calibrated bank pricing:
-/// single-level, pure gated, monolithic or bank granularity, and not
-/// explicitly forced onto the per-unit model.  Everything else goes
-/// through the per-unit model.
-bool uses_legacy_pricing(const SimConfig& config) {
-  return !config.force_unit_pricing && !config.hierarchy_enabled() &&
-         !(config.policy == PowerPolicy::kDrowsyHybrid &&
-           config.drowsy_window_cycles > 0) &&
-         (config.granularity == Granularity::kMonolithic ||
-          config.granularity == Granularity::kBank);
 }
 
 }  // namespace
@@ -124,23 +111,14 @@ Simulator::Simulator(SimConfig config) : config_(std::move(config)) {
 
 std::uint64_t Simulator::breakeven_cycles() const {
   if (config_.breakeven_override != 0) return config_.breakeven_override;
-  switch (config_.granularity) {
-    case Granularity::kMonolithic:
-    case Granularity::kBank: {
-      const EnergyModel model(config_.tech, config_.cache,
-                              effective_partition(config_));
-      return model.breakeven_cycles();
-    }
-    case Granularity::kWay:
-    case Granularity::kLine: {
-      // Per-unit sleep hardware: the honest (overhead-inclusive) gate
-      // breakeven of the unit model.
-      const UnitEnergyModel model(config_.energy_params, config_.tech,
-                                  config_.topology(/*breakeven=*/1));
-      return std::max<std::uint64_t>(1, model.gate_breakeven_cycles());
-    }
-  }
-  return 32;
+  // Monolithic and bank units count with the paper's Block Control
+  // counter; way and line units with the run's own sleep hardware.
+  const bool paper_counter = config_.granularity == Granularity::kMonolithic ||
+                             config_.granularity == Granularity::kBank;
+  const UnitEnergyModel model(
+      paper_counter ? EnergyParams::paper() : config_.energy_params,
+      config_.tech, config_.topology(/*breakeven=*/1));
+  return std::max<std::uint64_t>(1, model.gate_breakeven_cycles());
 }
 
 SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
@@ -386,33 +364,19 @@ SimResult Simulator::run(TraceSource& source, const AgingLut* lut,
     residency[u] = ur.sleep_residency;
   }
 
-  if (uses_legacy_pricing(config_)) {
-    // The paper-calibrated bank model, bit-identical to pre-PR-3 runs.
-    std::vector<BankActivity> bank_activity(num_units);
-    for (std::uint64_t u = 0; u < num_units; ++u)
-      bank_activity[u] = {activity[u].accesses, activity[u].sleep_cycles,
-                          activity[u].sleep_episodes};
-    const EnergyModel model(config_.tech, config_.cache,
-                            effective_partition(config_));
-    r.energy = EnergyAccounting(model).price_run(bank_activity, cycles);
-  } else if (!hierarchy) {
-    const UnitEnergyModel model(config_.energy_params, config_.tech, topo);
-    r.energy = price_unit_run(model, activity, cycles);
-  } else {
-    // Price each level with its own unit model and add the reports; the
-    // baseline is the never-sleeping monolithic stack of the same
-    // levels.  Leakage is priced over the stall-stretched wall clock.
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < hconfig.levels.size(); ++i) {
-      const std::uint64_t n = hier->level_units(i);
-      const std::vector<UnitActivity> slice(
-          activity.begin() + static_cast<std::ptrdiff_t>(offset),
-          activity.begin() + static_cast<std::ptrdiff_t>(offset + n));
-      const UnitEnergyModel model(config_.energy_params, config_.tech,
-                                  hconfig.levels[i].topology);
-      r.energy += price_unit_run(model, slice, cycles);
-      offset += n;
-    }
+  // Price each level with its own unit model and add the reports; the
+  // baseline is the never-sleeping monolithic stack of the same levels.
+  // Leakage is priced over the stall-stretched wall clock.
+  std::size_t offset = 0;
+  for (const LevelConfig& level : hconfig.levels) {
+    const std::uint64_t n = level.topology.num_units();
+    const std::vector<UnitActivity> slice(
+        activity.begin() + static_cast<std::ptrdiff_t>(offset),
+        activity.begin() + static_cast<std::ptrdiff_t>(offset + n));
+    const UnitEnergyModel model(config_.energy_params, config_.tech,
+                                level.topology);
+    r.energy += price_unit_run(model, slice, cycles);
+    offset += n;
   }
 
   if (lut != nullptr) {

@@ -21,11 +21,10 @@
 // latencies — the default — reproduce the idealized one-access-per-cycle
 // engine bit for bit.
 //
-// Energy pricing: single-level gated monolithic/bank runs keep the
-// legacy paper-calibrated EnergyAccounting path bit for bit; every other
-// configuration (line, way, drowsy hybrid, hierarchies) is priced by the
-// per-unit model in power/unit_energy.h, so SimResult::energy is nonzero
-// and parameterized at every granularity (see docs/ENERGY_MODEL.md).
+// Energy pricing: every run, at every granularity, policy and depth, is
+// priced by price_unit_run over the energy model in power/unit_energy.h,
+// one UnitEnergyModel per level under SimConfig::energy_params (see
+// docs/ENERGY_MODEL.md).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +37,6 @@
 #include "core/hierarchy.h"
 #include "core/managed_cache.h"
 #include "core/timing.h"
-#include "power/accounting.h"
 #include "power/unit_energy.h"
 #include "trace/trace.h"
 
@@ -55,9 +53,9 @@ struct SimConfig {
   IndexingKind indexing = IndexingKind::kProbing;
   std::uint64_t indexing_seed = 1;
   TechnologyParams tech = TechnologyParams::st45();
-  /// Sleep-network / drowsy-state parameters of the per-unit energy
-  /// model (ignored by the legacy single-level gated bank/mono path).
-  EnergyParams energy_params = EnergyParams::st45();
+  /// Sleep-network / drowsy-state parameters of the energy model: the
+  /// paper's bank model unless a study picks another preset.
+  EnergyParams energy_params = EnergyParams::paper();
 
   /// What the low-power state is: straight power gating (the paper) or
   /// the drowsy-then-gate hybrid.
@@ -92,14 +90,6 @@ struct SimConfig {
 
   /// Override the model-derived breakeven time (0 = use the energy model).
   std::uint64_t breakeven_override = 0;
-
-  /// Price this run with the per-unit model even where the legacy bank
-  /// path would apply (single-level gated mono/bank).  Off by default —
-  /// the paper-table reproductions are calibrated against the legacy
-  /// model — but cross-backend comparisons should set it so every
-  /// column pays the same sleep-network overheads and leakage
-  /// fractions (bench/drowsy_comparison.cc does).
-  bool force_unit_pricing = false;
 
   /// Accesses fetched from the trace and handed to
   /// ManagedCache::access_batch per call (clamped to [1, 65536] by the
@@ -185,9 +175,8 @@ struct SimResult {
   /// Per-level unit counts: `units` holds level 0's units first, then
   /// each level below in order; level_units[i] entries belong to level i.
   std::vector<std::uint64_t> level_units;
-  /// Nonzero at every granularity: legacy bank pricing for single-level
-  /// gated mono/bank runs, the per-unit model for everything else
-  /// (hierarchies price each level with its own unit model and sum).
+  /// Nonzero at every granularity (hierarchies price each level with
+  /// its own unit model and sum).
   EnergyReport energy;
 
   std::optional<CacheLifetimeResult> lifetime;
@@ -278,9 +267,10 @@ class Simulator {
 
   const SimConfig& config() const { return config_; }
 
-  /// The breakeven time the run will use: the override if set, the
-  /// legacy bank energy model at mono/bank granularity, the per-unit
-  /// model's gate breakeven at way/line granularity.
+  /// The breakeven time the run will use: the override if set, else
+  /// the gate breakeven of the L1 unit — under the paper preset at
+  /// mono/bank granularity (the paper's Block Control counter), under
+  /// the run's energy_params at way/line granularity.
   std::uint64_t breakeven_cycles() const;
 
  private:

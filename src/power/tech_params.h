@@ -36,8 +36,8 @@ struct TechnologyParams {
   double leak_mw_per_kb = 1.0;
   double leak_ref_kb = 16.0;
   double leak_size_exponent = 0.5;
-  // Fraction of active leakage that remains in retention (drowsy) state.
-  double retention_leak_fraction = 0.05;
+  // What remains of it in the low-power states is a property of the
+  // sleep hardware: EnergyParams (power/unit_energy.h).
 
   // ---- dynamic access energy (pJ per access) ----
   //   E = dyn_base_pj + dyn_sqrt_pj * sqrt(kb) + dyn_line_pj_per_byte * line

@@ -7,19 +7,6 @@
 namespace pcal {
 namespace {
 
-/// The partition the base EnergyModel is built with: the topology's own
-/// at bank/way granularity (it prices the decoder + wiring), a single
-/// bank otherwise (monolithic and per-line organizations have no bank
-/// partition to speak of).
-PartitionConfig base_partition(const CacheTopology& topology) {
-  if (topology.granularity == Granularity::kBank ||
-      topology.granularity == Granularity::kWay)
-    return topology.partition;
-  PartitionConfig mono;
-  mono.num_banks = 1;
-  return mono;
-}
-
 std::uint64_t unit_bytes_of(const CacheTopology& topology) {
   const CacheConfig& c = topology.cache;
   switch (topology.granularity) {
@@ -34,6 +21,22 @@ std::uint64_t unit_bytes_of(const CacheTopology& topology) {
 }
 
 }  // namespace
+
+EnergyParams EnergyParams::paper() {
+  EnergyParams p;
+  p.gated_leak_fraction = 0.05;
+  p.sleep_area_leak_overhead = 0.0;
+  p.control_leak_uw_per_unit = 0.0;
+  p.gate_transition_fixed_pj = 0.0;
+  return p;
+}
+
+EnergyParams EnergyParams::preset(const std::string& name) {
+  if (name == "paper") return paper();
+  if (name == "st45") return st45();
+  throw ConfigError("unknown energy preset: \"" + name +
+                    "\" (expected paper | st45)");
+}
 
 void EnergyParams::validate() const {
   PCAL_CONFIG_CHECK(gated_leak_fraction > 0.0 &&
@@ -54,45 +57,74 @@ void EnergyParams::validate() const {
 UnitEnergyModel::UnitEnergyModel(const EnergyParams& params,
                                  const TechnologyParams& tech,
                                  const CacheTopology& topology)
-    : params_(params),
-      tech_(tech),
-      topology_(topology),
-      base_(tech, topology.cache, base_partition(topology)),
-      unit_bytes_(unit_bytes_of(topology)) {
+    : params_(params), tech_(tech), topology_(topology) {
+  topology_.cache.validate();
+  if (topology_.granularity == Granularity::kBank ||
+      topology_.granularity == Granularity::kWay)
+    topology_.partition.validate(topology_.cache);
   params_.validate();
+  PCAL_CONFIG_CHECK(tech_.vdd > tech_.vdd_retention &&
+                        tech_.vdd_retention > 0.0,
+                    "need vdd > vdd_retention > 0");
+  PCAL_CONFIG_CHECK(tech_.clock_ns > 0.0, "clock period must be positive");
+  unit_bytes_ = unit_bytes_of(topology_);
   PCAL_CONFIG_CHECK(unit_bytes_ > 0, "empty power-management unit");
 }
 
 double UnitEnergyModel::clock_ns() const { return tech_.clock_ns; }
 
+double UnitEnergyModel::array_leak_mw(std::uint64_t bytes) const {
+  const CacheConfig& c = topology_.cache;
+  const double tag_bytes = static_cast<double>(bytes) /
+                           static_cast<double>(c.line_bytes) *
+                           static_cast<double>(c.tag_bits()) / 8.0;
+  const double kb = (static_cast<double>(bytes) + tag_bytes) / 1024.0;
+  return tech_.leak_mw_per_kb * kb *
+         std::pow(kb / tech_.leak_ref_kb, tech_.leak_size_exponent);
+}
+
+double UnitEnergyModel::array_access_pj(std::uint64_t bytes) const {
+  const double kb = static_cast<double>(bytes) / 1024.0;
+  return tech_.dyn_base_pj + tech_.dyn_sqrt_pj * std::sqrt(kb) +
+         tech_.dyn_line_pj_per_byte *
+             static_cast<double>(topology_.cache.line_bytes);
+}
+
 double UnitEnergyModel::unit_leak_mw() const {
-  return base_.leakage_mw(unit_bytes_) *
+  return array_leak_mw(unit_bytes_) *
              (1.0 + params_.sleep_area_leak_overhead) +
          params_.control_leak_uw_per_unit * 1e-3;
 }
 
 double UnitEnergyModel::unit_drowsy_mw() const {
-  return base_.leakage_mw(unit_bytes_) * params_.drowsy_leak_fraction +
+  return array_leak_mw(unit_bytes_) * params_.drowsy_leak_fraction +
          params_.control_leak_uw_per_unit * 1e-3;
 }
 
 double UnitEnergyModel::unit_gated_mw() const {
-  return base_.leakage_mw(unit_bytes_) * params_.gated_leak_fraction +
+  return array_leak_mw(unit_bytes_) * params_.gated_leak_fraction +
          params_.control_leak_uw_per_unit * 1e-3;
 }
 
 double UnitEnergyModel::access_energy_pj() const {
+  const std::uint64_t size = topology_.cache.size_bytes;
   switch (topology_.granularity) {
     case Granularity::kMonolithic:
-      return base_.monolithic_access_energy_pj();
+      return array_access_pj(size);
     case Granularity::kBank:
-    case Granularity::kWay:
-      return base_.banked_access_energy_pj();
+    case Granularity::kWay: {
+      // One bank array through the partition: decoder D plus wiring
+      // overhead growing with M.
+      const std::uint64_t banks = topology_.partition.num_banks;
+      const double wiring =
+          1.0 + tech_.wiring_dyn_per_bank * static_cast<double>(banks - 1);
+      return array_access_pj(size / banks) * wiring + tech_.decoder_pj;
+    }
     case Granularity::kLine:
       // One flat array plus the full-index rotation decoder of [7].
-      return base_.monolithic_access_energy_pj() + tech_.decoder_pj;
+      return array_access_pj(size) + tech_.decoder_pj;
   }
-  return base_.monolithic_access_energy_pj();
+  return array_access_pj(size);
 }
 
 double UnitEnergyModel::gate_transition_pj() const {
@@ -134,9 +166,9 @@ std::uint64_t UnitEnergyModel::drowsy_breakeven_cycles() const {
 double UnitEnergyModel::baseline_pj(std::uint64_t accesses,
                                     std::uint64_t cycles) const {
   const double t_ns = static_cast<double>(cycles) * tech_.clock_ns;
-  return static_cast<double>(accesses) *
-             base_.monolithic_access_energy_pj() +
-         base_.leakage_mw(topology_.cache.size_bytes) * t_ns;
+  const std::uint64_t size = topology_.cache.size_bytes;
+  return static_cast<double>(accesses) * array_access_pj(size) +
+         array_leak_mw(size) * t_ns;
 }
 
 LatencyParams wake_latencies(const EnergyParams& params) {
@@ -146,48 +178,46 @@ LatencyParams wake_latencies(const EnergyParams& params) {
   return latency;
 }
 
+EnergyBreakdown price_unit(const UnitEnergyModel& model,
+                           const UnitActivity& a,
+                           std::uint64_t total_cycles) {
+  PCAL_ASSERT_MSG(a.sleep_cycles <= total_cycles,
+                  "unit sleeps longer than the run");
+  PCAL_ASSERT_MSG(a.drowsy_cycles <= a.sleep_cycles,
+                  "drowsy cycles exceed sleep cycles");
+  PCAL_ASSERT_MSG(a.gated_episodes <= a.sleep_episodes,
+                  "gated episodes exceed sleep episodes");
+  const double clock_ns = model.clock_ns();
+  const double t_ns = static_cast<double>(total_cycles) * clock_ns;
+  const double sleep_ns = static_cast<double>(a.sleep_cycles) * clock_ns;
+  const double drowsy_ns = static_cast<double>(a.drowsy_cycles) * clock_ns;
+  const double gated_ns = sleep_ns - drowsy_ns;
+  EnergyBreakdown e;
+  e.dynamic_pj = static_cast<double>(a.accesses) * model.access_energy_pj();
+  e.leakage_active_pj = model.unit_leak_mw() * (t_ns - sleep_ns);
+  e.leakage_drowsy_pj = model.unit_drowsy_mw() * drowsy_ns;
+  e.leakage_retention_pj = model.unit_gated_mw() * gated_ns;
+  // Drowsy-only episodes pay the shallow round trip; episodes that
+  // deepen into gating pay the full one (the drowsy pass-through is
+  // absorbed into the gate cost).
+  e.transition_pj =
+      static_cast<double>(a.sleep_episodes - a.gated_episodes) *
+          model.drowsy_transition_pj() +
+      static_cast<double>(a.gated_episodes) * model.gate_transition_pj();
+  return e;
+}
+
 EnergyReport price_unit_run(const UnitEnergyModel& model,
                             const std::vector<UnitActivity>& activity,
                             std::uint64_t total_cycles) {
   PCAL_ASSERT_MSG(activity.size() == model.topology().num_units(),
                   "activity size " << activity.size() << " != units "
                                    << model.topology().num_units());
-  const double clock_ns = model.clock_ns();
-  const double t_ns = static_cast<double>(total_cycles) * clock_ns;
-  const double leak_mw = model.unit_leak_mw();
-  const double drowsy_mw = model.unit_drowsy_mw();
-  const double gated_mw = model.unit_gated_mw();
-  const double e_access = model.access_energy_pj();
-  const double e_gate = model.gate_transition_pj();
-  const double e_drowsy = model.drowsy_transition_pj();
-
   EnergyReport report;
   std::uint64_t total_accesses = 0;
   for (const UnitActivity& a : activity) {
-    PCAL_ASSERT_MSG(a.sleep_cycles <= total_cycles,
-                    "unit sleeps longer than the run");
-    PCAL_ASSERT_MSG(a.drowsy_cycles <= a.sleep_cycles,
-                    "drowsy cycles exceed sleep cycles");
-    PCAL_ASSERT_MSG(a.gated_episodes <= a.sleep_episodes,
-                    "gated episodes exceed sleep episodes");
     total_accesses += a.accesses;
-    const double sleep_ns =
-        static_cast<double>(a.sleep_cycles) * clock_ns;
-    const double drowsy_ns =
-        static_cast<double>(a.drowsy_cycles) * clock_ns;
-    const double gated_ns = sleep_ns - drowsy_ns;
-    report.partitioned.dynamic_pj +=
-        static_cast<double>(a.accesses) * e_access;
-    report.partitioned.leakage_active_pj += leak_mw * (t_ns - sleep_ns);
-    report.partitioned.leakage_drowsy_pj += drowsy_mw * drowsy_ns;
-    report.partitioned.leakage_retention_pj += gated_mw * gated_ns;
-    // Drowsy-only episodes pay the shallow round trip; episodes that
-    // deepen into gating pay the full one (the drowsy pass-through is
-    // absorbed into the gate cost).
-    report.partitioned.transition_pj +=
-        static_cast<double>(a.sleep_episodes - a.gated_episodes) *
-            e_drowsy +
-        static_cast<double>(a.gated_episodes) * e_gate;
+    report.partitioned += price_unit(model, a, total_cycles);
   }
   report.baseline_pj = model.baseline_pj(total_accesses, total_cycles);
   return report;

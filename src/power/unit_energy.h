@@ -1,14 +1,12 @@
-// Per-unit energy model: honest pricing at every power-management
+// The energy model: prices every run at every power-management
 // granularity.
 //
-// The legacy EnergyModel/EnergyAccounting pair prices the paper's bank
-// partition (and the monolithic baseline) and is kept bit-identical for
-// those runs — the paper-table calibrations depend on it.  What it cannot
-// price is everything this repo grew past the paper: per-line units (the
-// old SimResult.energy was deliberately zero at kLine), per-way units,
-// the drowsy/gated hybrid, and multi-level hierarchies.  UnitEnergyModel
-// closes that gap with an explicitly parameterized overhead model
-// (EnergyParams) instead of silent zeros:
+// One model covers the paper's bank partition and everything this repo
+// grew past the paper: the monolithic reference, per-line units, per-way
+// units, the drowsy/gated hybrid, multi-level hierarchies and multi-core
+// systems.  Array leakage, access and tag costs come from the 45nm-class
+// TechnologyParams; the sleep hardware is an explicitly parameterized
+// overhead model (EnergyParams) instead of silent zeros:
 //
 //   - every independently power-managed unit pays for its sleep network:
 //     a leakage overhead proportional to the unit's own leakage (sleep
@@ -23,23 +21,70 @@
 //     per-event control pulse, so gating a line is cheap per event but
 //     never free.
 //
-// The baseline every report compares against is unchanged: the
-// never-sleeping monolithic cache of the same total capacity, with no
-// sleep network at all.  See docs/ENERGY_MODEL.md for the derivation,
-// defaults, and the migration story for pre-PR-3 BENCH_*.json readers.
+// Two presets: paper() is the DATE'11 bank model (no sleep-network
+// overheads, 5% leakage in the low-power state) and the default of every
+// run; st45() adds the sleep-network costs for cross-granularity studies.
+//
+// The baseline every report compares against is the never-sleeping
+// monolithic cache of the same total capacity, with no sleep network and
+// no bank decoder.  See docs/ENERGY_MODEL.md for the derivation and
+// defaults.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/managed_cache.h"
-#include "power/accounting.h"
-#include "power/energy_model.h"
 #include "power/tech_params.h"
 
 namespace pcal {
 
-/// Sleep-network and drowsy-state parameters of the per-unit model.
+/// Energy breakdown of one run (all in pJ).
+struct EnergyBreakdown {
+  double dynamic_pj = 0.0;      // unit accesses incl. decoder + wiring
+  double leakage_active_pj = 0.0;
+  /// Leakage spent power-gated (the deepest low-power state).
+  double leakage_retention_pj = 0.0;
+  /// Leakage spent at the drowsy voltage.
+  double leakage_drowsy_pj = 0.0;
+  double transition_pj = 0.0;
+
+  double total_pj() const {
+    return dynamic_pj + leakage_active_pj + leakage_retention_pj +
+           leakage_drowsy_pj + transition_pj;
+  }
+
+  /// Component-wise accumulation (units and levels sum).  Keep in
+  /// lockstep with total_pj() when adding fields.
+  EnergyBreakdown& operator+=(const EnergyBreakdown& other) {
+    dynamic_pj += other.dynamic_pj;
+    leakage_active_pj += other.leakage_active_pj;
+    leakage_retention_pj += other.leakage_retention_pj;
+    leakage_drowsy_pj += other.leakage_drowsy_pj;
+    transition_pj += other.transition_pj;
+    return *this;
+  }
+};
+
+struct EnergyReport {
+  EnergyBreakdown partitioned;
+  double baseline_pj = 0.0;  // monolithic, never sleeping
+  /// Fractional saving vs the monolithic baseline (paper's Esav).
+  double saving() const {
+    return baseline_pj > 0.0 ? 1.0 - partitioned.total_pj() / baseline_pj
+                             : 0.0;
+  }
+
+  /// Accumulates another level's report (components and baseline add).
+  EnergyReport& operator+=(const EnergyReport& other) {
+    partitioned += other.partitioned;
+    baseline_pj += other.baseline_pj;
+    return *this;
+  }
+};
+
+/// Sleep-network and drowsy-state parameters of the energy model.
 /// Leakage fractions are relative to the unit's active leakage.
 struct EnergyParams {
   /// Leakage remaining at the drowsy (state-preserving) voltage.
@@ -72,8 +117,14 @@ struct EnergyParams {
 
   void validate() const;
 
-  /// The 45nm-class defaults used throughout the reproduction.
+  /// The paper's bank model, the default of every run: no sleep-network
+  /// leakage or control tax, no fixed gate pulse, and 5% of active
+  /// leakage left in the low-power state.
+  static EnergyParams paper();
+  /// The 45nm-class sleep-network costs (the field defaults above).
   static EnergyParams st45() { return EnergyParams{}; }
+  /// The preset named "paper" or "st45"; ConfigError otherwise.
+  static EnergyParams preset(const std::string& name);
 };
 
 /// Prices one power-management granularity of one cache level.
@@ -81,6 +132,7 @@ class UnitEnergyModel {
  public:
   /// `topology` fixes the geometry, granularity and unit count; `params`
   /// the sleep-network overheads; `tech` the base 45nm-class numbers.
+  /// Throws ConfigError on an invalid geometry, preset or technology.
   UnitEnergyModel(const EnergyParams& params, const TechnologyParams& tech,
                   const CacheTopology& topology);
 
@@ -125,19 +177,34 @@ class UnitEnergyModel {
   /// Never-sleeping monolithic baseline of the same total capacity (pJ).
   double baseline_pj(std::uint64_t accesses, std::uint64_t cycles) const;
 
+  // ---- array building blocks (no sleep network) ----
+
+  /// Active leakage power (mW) of an array of `bytes` data capacity,
+  /// including its tag bits; superlinear in size.
+  double array_leak_mw(std::uint64_t bytes) const;
+
+  /// Dynamic energy (pJ) of one data + tag read of an array of `bytes`
+  /// capacity with the configured line width.
+  double array_access_pj(std::uint64_t bytes) const;
+
  private:
   double breakeven_for(double saved_mw, double transition_pj) const;
 
   EnergyParams params_;
   TechnologyParams tech_;
   CacheTopology topology_;
-  EnergyModel base_;  // the shared leakage/access building blocks
-  std::uint64_t unit_bytes_;
+  std::uint64_t unit_bytes_ = 0;
 };
 
-/// Prices a run at any granularity from the per-unit activity vector
-/// (drowsy split included — pure-gated backends report drowsy_cycles = 0
-/// and gated_episodes = sleep_episodes, so one formula covers both).
+/// Prices one unit over a run of `total_cycles` (drowsy split included —
+/// pure-gated backends report drowsy_cycles = 0 and gated_episodes =
+/// sleep_episodes, so one formula covers both).
+EnergyBreakdown price_unit(const UnitEnergyModel& model,
+                           const UnitActivity& activity,
+                           std::uint64_t total_cycles);
+
+/// Prices a run at any granularity from the per-unit activity vector:
+/// the sum of price_unit over every unit, against baseline_pj.
 /// `activity.size()` must equal the topology's unit count.
 ///
 /// Stall-aware: `total_cycles` is the timing core's stretched wall clock

@@ -119,6 +119,38 @@ TEST(RunConfigTest, ValidateBoundsTheClock) {
   EXPECT_NE(issues[0].reason.find("2^63"), std::string::npos);
 }
 
+TEST(RunConfigTest, EnergyPresetAndFieldsAssembleInAnyOrder) {
+  // The preset applies before every energy_* field, whichever was set
+  // first, so a field is never silently reset by a later preset.
+  RunAssembly preset_first, field_first;
+  preset_first.set("energy", "st45");
+  preset_first.set("energy_gated_leak", "0.1");
+  field_first.set("energy_gated_leak", "0.1");
+  field_first.set("energy", "st45");
+  const EnergyParams a = preset_first.assemble().config.energy_params;
+  const EnergyParams b = field_first.assemble().config.energy_params;
+  const auto fields = [](const EnergyParams& p) {
+    return std::vector<double>{
+        p.drowsy_leak_fraction, p.gated_leak_fraction,
+        p.sleep_area_leak_overhead, p.control_leak_uw_per_unit,
+        p.gate_transition_fixed_pj, p.drowsy_transition_fraction,
+        p.drowsy_transition_fixed_pj,
+        static_cast<double>(p.drowsy_wake_cycles),
+        static_cast<double>(p.gated_wake_cycles)};
+  };
+  EXPECT_EQ(fields(a), fields(b));
+  EXPECT_EQ(a.gated_leak_fraction, 0.1);
+  EXPECT_EQ(a.control_leak_uw_per_unit,
+            EnergyParams::st45().control_leak_uw_per_unit);
+  // Unset, every run prices with the paper preset.
+  EXPECT_EQ(fields(RunAssembly().assemble().config.energy_params),
+            fields(EnergyParams::paper()));
+  RunConfig bad = small_config();
+  bad.set("energy", "legacy");
+  ASSERT_EQ(bad.validate().size(), 1u);
+  EXPECT_EQ(bad.validate()[0].key, "energy");
+}
+
 TEST(ApiRunTest, MatchesHandAssembledSimulatorRun) {
   const RunConfig rc = small_config();
   const api::RunOutput out = api::run(rc);

@@ -92,8 +92,8 @@ TEST(BackendParitySweep, WayGrainAtOneWayEqualsBanked) {
     jobs.push_back(job_for(bank, w));
     jobs.push_back(job_for(way, w));
   }
-  // Energy intentionally differs between the paths (legacy bank pricing
-  // vs the per-unit model), so compare everything else pairwise here.
+  // The labels differ, so compare pairwise here.  One (bank, way)
+  // column is the bank, so its energy matches bit for bit too.
   SweepRunner runner;
   const std::vector<SweepOutcome> out = runner.run(jobs);
   for (std::size_t i = 0; i < out.size(); i += 2) {
@@ -108,7 +108,16 @@ TEST(BackendParitySweep, WayGrainAtOneWayEqualsBanked) {
       EXPECT_DOUBLE_EQ(a.units[u].sleep_residency,
                        b.units[u].sleep_residency);
     }
-    EXPECT_GT(b.energy.partitioned.total_pj(), 0.0);
+    const EnergyBreakdown& ea = a.energy.partitioned;
+    const EnergyBreakdown& eb = b.energy.partitioned;
+    EXPECT_EQ(ea.dynamic_pj, eb.dynamic_pj) << a.workload;
+    EXPECT_EQ(ea.leakage_active_pj, eb.leakage_active_pj) << a.workload;
+    EXPECT_EQ(ea.leakage_retention_pj, eb.leakage_retention_pj)
+        << a.workload;
+    EXPECT_EQ(ea.leakage_drowsy_pj, eb.leakage_drowsy_pj) << a.workload;
+    EXPECT_EQ(ea.transition_pj, eb.transition_pj) << a.workload;
+    EXPECT_EQ(a.energy.baseline_pj, b.energy.baseline_pj) << a.workload;
+    EXPECT_GT(eb.total_pj(), 0.0);
   }
 }
 

@@ -144,6 +144,20 @@ TEST(DrowsyHybrid, SimulatorZeroWindowBitIdentical) {
   EXPECT_DOUBLE_EQ(a.energy.baseline_pj, b.energy.baseline_pj);
 }
 
+// Opening the window moves no sleep and switches no energy model: window
+// 1 pays the same active leakage against the same baseline as window 0.
+TEST(DrowsyHybrid, WindowZeroAndOnePriceWithOneModel) {
+  const SimConfig gated = paper_config(8192, 16, 4);
+  SyntheticTraceSource sa(make_mediabench_workload("cjpeg"), 100'000);
+  SyntheticTraceSource sb(make_mediabench_workload("cjpeg"), 100'000);
+  const SimResult w0 = Simulator(drowsy_hybrid_variant(gated, 0)).run(sa);
+  const SimResult w1 = Simulator(drowsy_hybrid_variant(gated, 1)).run(sb);
+  EXPECT_DOUBLE_EQ(w0.avg_residency(), w1.avg_residency());
+  EXPECT_EQ(w0.energy.partitioned.leakage_active_pj,
+            w1.energy.partitioned.leakage_active_pj);
+  EXPECT_EQ(w0.energy.baseline_pj, w1.energy.baseline_pj);
+}
+
 // With an active window the run reports a drowsy share, pays drowsy
 // leakage, and power-gates less often than the pure gated run.
 TEST(DrowsyHybrid, ActiveWindowShiftsSleepIntoDrowsy) {

@@ -288,7 +288,7 @@ workload = cjpeg
 TEST(GridSpecExpand, AppliesConfigAxes) {
   const GridSpec spec = parse(R"(
 [grid]
-unit_pricing = true
+energy = st45
 
 [sweep]
 granularity = way
@@ -312,7 +312,18 @@ workload = uniform
   EXPECT_EQ(cfg.reindex_updates, 32u);
   EXPECT_EQ(cfg.breakeven_override, 48u);
   EXPECT_EQ(cfg.indexing_seed, 9u);
-  EXPECT_TRUE(cfg.force_unit_pricing);
+  EXPECT_EQ(cfg.energy_params.control_leak_uw_per_unit,
+            EnergyParams::st45().control_leak_uw_per_unit);
+  EXPECT_EQ(cfg.energy_params.gated_leak_fraction,
+            EnergyParams::st45().gated_leak_fraction);
+}
+
+TEST(GridSpecParse, EnergyPresetDefaultsToPaperAndRejectsUnknown) {
+  const GridSpec spec = parse("[sweep]\nworkload = cjpeg\n");
+  EXPECT_EQ(spec.expand(5000)[0].config.energy_params.gated_leak_fraction,
+            EnergyParams::paper().gated_leak_fraction);
+  EXPECT_THROW(parse("[grid]\nenergy = legacy\n[sweep]\nworkload = cjpeg\n"),
+               ParseError);
 }
 
 TEST(GridSpecExpand, L2AxisBuildsHierarchy) {
@@ -566,6 +577,28 @@ workload = cjpeg
   EXPECT_DOUBLE_EQ(jobs[1].config.energy_params.drowsy_leak_fraction, 0.5);
   EXPECT_DOUBLE_EQ(jobs[0].config.energy_params.control_leak_uw_per_unit,
                    2.5);
+}
+
+TEST(GridSpecExpand, EnergyAxesPriceSingleLevelBankRuns) {
+  // The paper's own configuration is priced by the same model as every
+  // other run, so an energy axis changes its energy.
+  const GridSpec spec = parse(R"(
+[sweep]
+granularity = bank
+cache_size = 8192
+banks = 4
+energy_gated_leak = 0.05, 0.1
+workload = cjpeg
+)");
+  const std::vector<GridJob> jobs = spec.expand(20000);
+  ASSERT_EQ(jobs.size(), 2u);
+  std::vector<double> energy;
+  for (const GridJob& job : jobs) {
+    EXPECT_FALSE(job.config.hierarchy_enabled());
+    const SimResult r = Simulator(job.config).run(*job.make_source());
+    energy.push_back(r.energy.partitioned.total_pj());
+  }
+  EXPECT_LT(energy[0], energy[1]);
 }
 
 TEST(GridSpecParse, RejectsBadEnumAndFloatAxisValues) {

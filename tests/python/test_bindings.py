@@ -44,8 +44,11 @@ def test_knows():
 
 def test_validate_accepts_clean_config():
     assert pcal.validate({"cache_size": "8k", "banks": 4}) == []
-    # Values are str()-ed: ints, "8k" suffixes and booleans all work.
-    assert pcal.validate([("cache_size", 8192), ("unit_pricing", True)]) == []
+    # Values are str()-ed: ints, "8k" suffixes and reals all work.
+    assert pcal.validate([("cache_size", 8192), ("energy", "st45"),
+                          ("energy_gated_leak", 0.05)]) == []
+    issues = pcal.validate({"energy": "no_such_preset"})
+    assert [i["key"] for i in issues] == ["energy"]
 
 
 def test_validate_reports_every_entry_issue():

@@ -158,8 +158,21 @@ TEST(Simulator, MonolithicGranularityMatchesBankedM1) {
   EXPECT_DOUBLE_EQ(mono.units[0].sleep_residency,
                    ref.units[0].sleep_residency);
   EXPECT_DOUBLE_EQ(mono.lifetime_years(), ref.lifetime_years());
-  EXPECT_DOUBLE_EQ(mono.energy.partitioned.total_pj(),
-                   ref.energy.partitioned.total_pj());
+  // Energy differs by exactly the bank decoder: a one-bank partition
+  // still pays decoder D per access, a monolithic cache has none.
+  const double decoder_pj =
+      TechnologyParams::st45().decoder_pj * static_cast<double>(mono.accesses);
+  EXPECT_NEAR(mono.energy.partitioned.dynamic_pj,
+              ref.energy.partitioned.dynamic_pj - decoder_pj, 1e-6);
+  EXPECT_DOUBLE_EQ(mono.energy.partitioned.leakage_active_pj,
+                   ref.energy.partitioned.leakage_active_pj);
+  EXPECT_DOUBLE_EQ(mono.energy.partitioned.leakage_retention_pj,
+                   ref.energy.partitioned.leakage_retention_pj);
+  EXPECT_DOUBLE_EQ(mono.energy.partitioned.transition_pj,
+                   ref.energy.partitioned.transition_pj);
+  // A never-sleeping monolithic cache is its own baseline.
+  EXPECT_EQ(mono.units[0].sleep_cycles, 0u);
+  EXPECT_EQ(mono.energy_saving(), 0.0);
 }
 
 TEST(Simulator, ObserverStreamsIntervalSnapshots) {

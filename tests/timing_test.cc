@@ -167,7 +167,6 @@ TEST(Timing, StallsAreIdleTimeAndStretchTheLeakageClock) {
   // more sleep residency and pays more leakage than the same run on the
   // ideal clock.
   SimConfig ideal = paper_config(8192, 16, 4);
-  ideal.force_unit_pricing = true;
   SimConfig timed = ideal;
   timed.latency.miss_cycles = 40;
   timed.latency.gated_wake_cycles = 3;

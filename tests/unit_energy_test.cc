@@ -73,11 +73,7 @@ TEST(UnitEnergyModel, ControlTaxGrowsWithUnitCount) {
   // Total always-on sleep-network leakage across all units must grow as
   // the granularity refines: that is the honest cost of fine grain.
   const auto total_overhead = [](const UnitEnergyModel& m) {
-    const double per_unit =
-        m.unit_leak_mw() -
-        EnergyModel(TechnologyParams::st45(), m.topology().cache,
-                    PartitionConfig{1})
-            .leakage_mw(m.unit_bytes());
+    const double per_unit = m.unit_leak_mw() - m.array_leak_mw(m.unit_bytes());
     return per_unit * static_cast<double>(m.topology().num_units());
   };
   const double bank = total_overhead(model_for(Granularity::kBank));
