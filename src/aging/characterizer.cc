@@ -1,6 +1,8 @@
 #include "aging/characterizer.h"
 
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "util/error.h"
 #include "util/units.h"
@@ -42,11 +44,14 @@ double CellAgingCharacterizer::snm_after(double t_years, double p0,
 }
 
 double CellAgingCharacterizer::critical_shift(double p0) const {
-  const double threshold = (1.0 - params_.criterion.snm_degradation) * snm0_;
   double a0 = 0.0, a1 = 0.0;
   stress_duties(p0, a0, a1);
-  const double amax = std::max(a0, a1);
-  const double amin = std::min(a0, a1);
+  return critical_shift_for(std::max(a0, a1), std::min(a0, a1));
+}
+
+double CellAgingCharacterizer::critical_shift_for(double amax,
+                                                  double amin) const {
+  const double threshold = (1.0 - params_.criterion.snm_degradation) * snm0_;
   // Both shifts grow along a fixed ray: dv_min/dv_max = (amin/amax)^n.
   const double ratio =
       amax > 0.0 ? std::pow(amin / amax, params_.nbti.n) : 0.0;
@@ -92,6 +97,7 @@ double CellAgingCharacterizer::calibrate() {
   // exactly on target follows in closed form from the power law:
   //   crit = K * (alpha * t_target)^n  =>  K = crit / (alpha * t_target)^n.
   const double crit = critical_shift(0.5);
+  nominal_shift_ = crit;
   const double t_target_s =
       units::years_to_seconds(params_.nominal_lifetime_years);
   const double k_needed = crit / std::pow(0.5 * t_target_s, params_.nbti.n);
@@ -106,14 +112,20 @@ double CellAgingCharacterizer::calibrate() {
 BilinearTable2D CellAgingCharacterizer::build_lut(
     const std::vector<double>& p0_axis,
     const std::vector<double>& sleep_axis) const {
+  // Critical shifts by exact (amax, amin) duty pair.  A local, not a
+  // member: one characterizer is shared read-only across sweep workers.
+  std::map<std::pair<double, double>, double> shifts;
+  if (nominal_shift_) shifts.emplace(std::pair(0.5, 0.5), *nominal_shift_);
   std::vector<double> values;
   values.reserve(p0_axis.size() * sleep_axis.size());
   for (double p0 : p0_axis) {
-    // One SNM bisection per p0; each sleep point is then closed form.
     double a0 = 0.0, a1 = 0.0;
     stress_duties(p0, a0, a1);
     const double amax = std::max(a0, a1);
-    const double crit = critical_shift(p0);
+    const double amin = std::min(a0, a1);
+    auto [it, fresh] = shifts.try_emplace(std::pair(amax, amin), 0.0);
+    if (fresh) it->second = critical_shift_for(amax, amin);
+    const double crit = it->second;
     for (double s : sleep_axis) {
       const double alpha_eff = NbtiModel::effective_duty(amax, s, gamma_);
       const double t_s = nbti_.time_to_reach(crit, alpha_eff, params_.vdd,

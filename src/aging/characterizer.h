@@ -11,6 +11,8 @@
 // nominal-cell lifetime to the paper's 2.93 years.
 #pragma once
 
+#include <optional>
+
 #include "aging/aging_params.h"
 #include "aging/nbti.h"
 #include "aging/snm.h"
@@ -51,10 +53,16 @@ class CellAgingCharacterizer {
   /// Rescales the NBTI prefactor so that lifetime(0.5, 0) equals
   /// params.nominal_lifetime_years.  Exact in one step because lifetime
   /// scales as kdc^(-1/n) at fixed (p0, sleep).  Returns the applied
-  /// scale factor.
+  /// scale factor.  Keeps the nominal critical shift it solves for, which
+  /// build_lut then reuses (the shift does not depend on the prefactor).
   double calibrate();
 
   /// Builds a (p0, sleep) -> lifetime-years table on the given axes.
+  /// Runs one critical-shift bisection per distinct (max, min) stress-duty
+  /// pair, not per p0: p0 and 1 - p0 share a pair wherever 1 - p0 is
+  /// exact (0 and 1, 0.4 and 0.6), and a calibrated characterizer has
+  /// already solved the nominal (0.5, 0.5) pair.  Each sleep point is then
+  /// closed form.
   BilinearTable2D build_lut(const std::vector<double>& p0_axis,
                             const std::vector<double>& sleep_axis) const;
 
@@ -66,11 +74,17 @@ class CellAgingCharacterizer {
   /// complementary value phases).
   static void stress_duties(double p0, double& alpha0, double& alpha1);
 
+  /// critical_shift for the duty pair amax >= amin: the only inputs the
+  /// bisection reads.
+  double critical_shift_for(double amax, double amin) const;
+
   AgingParams params_;
   SramCell cell_;
   NbtiModel nbti_;
   double gamma_ = 1.0;
   double snm0_ = 0.0;
+  /// critical_shift(0.5), set by calibrate().
+  std::optional<double> nominal_shift_;
 };
 
 }  // namespace pcal

@@ -5,21 +5,32 @@
 
 namespace pcal {
 
-double alpha_power_id(const DeviceParams& dev, double vgs, double vds) {
+FixedGateDevice::FixedGateDevice(const DeviceParams& dev, double vgs) {
   const double vov = vgs - dev.vth;
-  if (vov <= 0.0 || vds <= 0.0) return 0.0;
-  const double idsat = dev.beta * std::pow(vov, dev.alpha);
-  const double vdsat = std::pow(vov, dev.alpha / 2.0);
-  if (vds >= vdsat) return idsat;
-  const double x = vds / vdsat;
-  return idsat * (2.0 - x) * x;
+  if (vov <= 0.0) return;
+  on_ = true;
+  idsat_ = dev.beta * std::pow(vov, dev.alpha);
+  vdsat_ = std::pow(vov, dev.alpha / 2.0);
 }
 
-double alpha_power_id_shifted(const DeviceParams& dev, double dvth,
-                              double vgs, double vds) {
+// Out of line on purpose: the VTC solvers sum these currents, and keeping
+// each one a call result keeps a multiply-add contraction from ever fusing
+// the triode product into that sum, whatever the target ISA.
+double FixedGateDevice::id(double vds) const {
+  if (!on_ || vds <= 0.0) return 0.0;
+  if (vds >= vdsat_) return idsat_;
+  const double x = vds / vdsat_;
+  return idsat_ * (2.0 - x) * x;
+}
+
+double alpha_power_id(const DeviceParams& dev, double vgs, double vds) {
+  return FixedGateDevice(dev, vgs).id(vds);
+}
+
+DeviceParams vth_shifted(const DeviceParams& dev, double dvth) {
   DeviceParams shifted = dev;
   shifted.vth = dev.vth + std::max(0.0, dvth);
-  return alpha_power_id(shifted, vgs, vds);
+  return shifted;
 }
 
 }  // namespace pcal

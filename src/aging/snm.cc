@@ -65,8 +65,11 @@ SnmResult read_snm(const SramCell& cell, double dvth_p0, double dvth_p1,
     const double y2 = cell.inverter_vtc(t, dvth_p1);
     uA.push_back((t - y2) / kSqrt2);
     vA.push_back((t + y2) / kSqrt2);
-    // Curve B: parameterized by Y = t, X = f1(Y).
-    const double x1 = cell.inverter_vtc(t, dvth_p0);
+    // Curve B: parameterized by Y = t, X = f1(Y).  Equal shifts make f1
+    // and f2 the same solve, so its sample is reused: uB = -uA and
+    // vB = vA then hold exactly.
+    const double x1 =
+        dvth_p0 == dvth_p1 ? y2 : cell.inverter_vtc(t, dvth_p0);
     uB.push_back((x1 - t) / kSqrt2);
     vB.push_back((x1 + t) / kSqrt2);
   }

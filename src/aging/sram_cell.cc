@@ -7,6 +7,28 @@
 #include "util/error.h"
 
 namespace pcal {
+namespace {
+
+/// Root of a node current f in (0, vdd) by at most `steps` halvings, given
+/// f(0) > 0 >= f(vdd).  Every step keeps f(lo) > 0 and f(hi) <= 0, so once
+/// the midpoint rounds onto lo or hi the next step would re-assign that
+/// same end: (lo, hi) is at its fixed point, and stopping there returns
+/// the same bits as running every remaining step.
+template <typename F>
+double bisect_root(const F& f, double vdd, int steps) {
+  double lo = 0.0, hi = vdd;
+  for (int it = 0; it < steps; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
+    if (f(mid) > 0.0)
+      lo = mid;
+    else
+      hi = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+}  // namespace
 
 SramCell::SramCell(const SramCellParams& params) : params_(params) {
   PCAL_CONFIG_CHECK(params_.vdd > params_.nmos_driver.vth,
@@ -19,35 +41,30 @@ double SramCell::inverter_vtc(double vin, double dvth_p) const {
 
   // Node equation at the output: pull-up (pMOS from vdd) + access pull-up
   // (nMOS from the precharged bitline at vdd) balance the pull-down nMOS.
-  // Currents *into* the node minus currents out, as a function of vout:
+  // The load's and the driver's gates sit at vin for the whole solve:
+  //   pMOS load: |vgs| = vdd - vin, |vds| = vdd - vout, NBTI-shifted vth;
+  //   driver nMOS: gate vin, drain vout.
+  const FixedGateDevice load(vth_shifted(params_.pmos_load, dvth_p),
+                             vdd - vin);
+  const FixedGateDevice driver(params_.nmos_driver, vin);
+  // Currents *into* the node minus currents out, as a function of vout.
+  // Only the access nMOS moves its gate with vout: gate at vdd (wordline),
+  // drain at vdd (bitline), source at vout: vgs = vds = vdd - vout.
   const auto node_current = [&](double vout) {
-    // pMOS load: |vgs| = vdd - vin, |vds| = vdd - vout, NBTI-shifted vth.
-    const double ip = alpha_power_id_shifted(params_.pmos_load, dvth_p,
-                                             vdd - vin, vdd - vout);
-    // Access nMOS: gate at vdd (wordline), drain at vdd (bitline), source
-    // at vout: vgs = vdd - vout, vds = vdd - vout (source-referenced).
+    const double ip = load.id(vdd - vout);
     const double ia =
         alpha_power_id(params_.nmos_access, vdd - vout, vdd - vout);
-    // Driver nMOS: gate vin, drain vout.
-    const double in = alpha_power_id(params_.nmos_driver, vin, vout);
+    const double in = driver.id(vout);
     return ip + ia - in;
   };
 
   // node_current is monotone non-increasing in vout (pull-ups weaken, the
   // pull-down strengthens), so bisection is exact.
-  double lo = 0.0, hi = vdd;
-  const double f_lo = node_current(lo);
+  const double f_lo = node_current(0.0);
   if (f_lo <= 0.0) return 0.0;  // pull-down wins everywhere
-  const double f_hi = node_current(hi);
+  const double f_hi = node_current(vdd);
   if (f_hi >= 0.0) return vdd;  // pull-ups win everywhere
-  for (int it = 0; it < 80; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (node_current(mid) > 0.0)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return 0.5 * (lo + hi);
+  return bisect_root(node_current, vdd, 80);
 }
 
 double SramCell::read_disturb_voltage(double dvth_p) const {
@@ -69,11 +86,11 @@ std::vector<double> SramCell::sample_vtc(double dvth_p,
 double SramCell::inverter_vtc_hold(double vin, double dvth_p,
                                    double vdd) const {
   PCAL_ASSERT(vdd > 0.0 && vin >= 0.0 && vin <= vdd + 1e-9);
+  const FixedGateDevice load(vth_shifted(params_.pmos_load, dvth_p),
+                             vdd - vin);
+  const FixedGateDevice driver(params_.nmos_driver, vin);
   const auto node_current = [&](double vout) {
-    const double ip = alpha_power_id_shifted(params_.pmos_load, dvth_p,
-                                             vdd - vin, vdd - vout);
-    const double in = alpha_power_id(params_.nmos_driver, vin, vout);
-    return ip - in;
+    return load.id(vdd - vout) - driver.id(vout);
   };
   // With both devices cut off the node floats; resolve toward the rail
   // the last conducting device pointed at: input below the driver
@@ -87,15 +104,7 @@ double SramCell::inverter_vtc_hold(double vin, double dvth_p,
     return 0.0;
   }
   if (f_hi >= 0.0) return vdd;
-  double lo = 0.0, hi = vdd;
-  for (int it = 0; it < 60; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (node_current(mid) > 0.0)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return 0.5 * (lo + hi);
+  return bisect_root(node_current, vdd, 60);
 }
 
 double hold_snm(const SramCell& cell, double vdd, double dvth_p0,

@@ -19,8 +19,11 @@ namespace pcal {
 
 class AgingContext {
  public:
-  /// Builds and calibrates the characterizer, then the LUT.  Takes a few
-  /// hundred milliseconds; share one instance per process.
+  /// Builds and calibrates the characterizer, then the LUT: nine
+  /// critical-shift bisections, one per distinct stress-duty pair of the
+  /// default p0 axis.  About 0.7 s on one x86-64 Xeon core (see
+  /// docs/PERFORMANCE.md, "Aging characterization"); share one instance
+  /// per process.
   explicit AgingContext(AgingParams params = AgingParams::st45());
 
   const AgingLut& lut() const { return *lut_; }

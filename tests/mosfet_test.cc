@@ -56,10 +56,10 @@ TEST(Mosfet, MonotoneInVds) {
 
 TEST(Mosfet, ShiftedThresholdWeakensDevice) {
   const double fresh = alpha_power_id(dev(), 1.0, 1.0);
-  const double aged = alpha_power_id_shifted(dev(), 0.05, 1.0, 1.0);
+  const double aged = alpha_power_id(vth_shifted(dev(), 0.05), 1.0, 1.0);
   EXPECT_LT(aged, fresh);
   // A negative "shift" is clamped (NBTI only increases |vth|).
-  EXPECT_EQ(alpha_power_id_shifted(dev(), -0.1, 1.0, 1.0), fresh);
+  EXPECT_EQ(alpha_power_id(vth_shifted(dev(), -0.1), 1.0, 1.0), fresh);
 }
 
 TEST(Mosfet, BetaScalesLinearly) {
