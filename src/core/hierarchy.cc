@@ -31,14 +31,26 @@ std::string HierarchyConfig::describe() const {
   return os.str();
 }
 
+std::vector<bool> update_flush_plan(const std::vector<LevelConfig>& chain) {
+  std::vector<bool> flush(chain.size(), false);
+  for (std::size_t i = 0; i < chain.size(); ++i)
+    flush[i] = chain[i].topology.rotates();
+  for (std::size_t i = chain.size(); i-- > 1;)
+    if (flush[i] && chain[i].inclusion == InclusionPolicy::kInclusive)
+      flush[i - 1] = true;
+  return flush;
+}
+
 HierarchicalCache::HierarchicalCache(const HierarchyConfig& config) {
   config.validate();
+  const std::vector<bool> flush = update_flush_plan(config.levels);
   levels_.reserve(config.levels.size());
-  for (const LevelConfig& lc : config.levels) {
+  for (std::size_t i = 0; i < config.levels.size(); ++i) {
+    const LevelConfig& lc = config.levels[i];
     Level level;
     level.cache = make_managed_cache(lc.topology);
     level.inclusion = lc.inclusion;
-    level.rotates = lc.topology.rotates();
+    level.flush = flush[i];
     level.unit_offset = total_units_;
     total_units_ += level.cache->num_units();
     levels_.push_back(std::move(level));
@@ -147,22 +159,9 @@ AccessOutcome HierarchicalCache::do_probe(std::uint64_t address) {
 }
 
 std::uint64_t HierarchicalCache::update_indexing() {
-  // The update signal enters every rotating level; a non-rotating level
-  // has nothing to re-map and is not flushed — the same rule the
-  // Simulator applies to single-level runs.
-  std::vector<bool> flush(levels_.size(), false);
-  for (std::size_t i = 0; i < levels_.size(); ++i)
-    flush[i] = levels_[i].rotates;
-  // Back-invalidation cascade: flushing an inclusive level invalidates
-  // content its upper neighbour may still hold, so the neighbour is
-  // flushed too (and so on up through further inclusive links).
-  for (std::size_t i = levels_.size(); i-- > 1;)
-    if (flush[i] && levels_[i].inclusion == InclusionPolicy::kInclusive)
-      flush[i - 1] = true;
-
   std::uint64_t dirty = 0;
-  for (std::size_t i = 0; i < levels_.size(); ++i)
-    if (flush[i]) dirty += levels_[i].cache->update_indexing();
+  for (Level& level : levels_)
+    if (level.flush) dirty += level.cache->update_indexing();
   ++updates_;
   return dirty;
 }

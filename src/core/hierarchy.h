@@ -111,6 +111,15 @@ struct LevelConfig {
   bool enabled() const { return topology.cache.size_bytes > 0; }
 };
 
+/// Which levels of a routing chain (chain[0] faces the CPU) one
+/// re-indexing update flushes: every level that rotates — a
+/// non-rotating level has nothing to re-map — plus, for the inclusive
+/// back-invalidation cascade, the upper neighbour of every flushed
+/// inclusive level, climbing through further inclusive links.  The one
+/// flush rule of HierarchicalCache::update_indexing and the
+/// MultiCoreSystem driver.
+std::vector<bool> update_flush_plan(const std::vector<LevelConfig>& chain);
+
 /// Ordered description of a whole hierarchy; levels[0] faces the CPU.
 struct HierarchyConfig {
   std::vector<LevelConfig> levels;
@@ -172,7 +181,7 @@ class HierarchicalCache final : public ManagedCache {
   struct Level {
     std::unique_ptr<ManagedCache> cache;
     InclusionPolicy inclusion;
-    bool rotates;
+    bool flush;  // flushed by update_indexing (update_flush_plan)
     std::uint64_t unit_offset;  // index of its first unit in the vector
   };
 

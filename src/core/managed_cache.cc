@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "bank/banked_cache.h"
 #include "bank/line_managed_cache.h"
@@ -29,6 +30,24 @@ void CacheTopology::validate() const {
     partition.validate(cache);
   PCAL_CONFIG_CHECK(breakeven_cycles > 0, "breakeven time must be positive");
   contention.validate();
+  // No cycle parameter may exceed 2^32, so no run the driver serves can
+  // wrap the 64-bit clock before its 2^63 check sees it.
+  const std::uint64_t bpc = contention.bytes_per_cycle;
+  const std::uint64_t transfer =
+      bpc == 0 ? 0 : cache.line_bytes / bpc + (cache.line_bytes % bpc != 0);
+  const std::pair<const char*, std::uint64_t> cycle_params[] = {
+      {"hit latency", latency.hit_cycles},
+      {"miss latency", latency.miss_cycles},
+      {"drowsy wake latency", latency.drowsy_wake_cycles},
+      {"gated wake latency", latency.gated_wake_cycles},
+      {"mshr_latency", contention.mshr_latency_cycles},
+      {"port_cycles", contention.port_cycles},
+      {"line transfer", transfer},
+      {"breakeven", breakeven_cycles},
+      {"drowsy window", drowsy_window_cycles}};
+  for (const auto& [name, cycles] : cycle_params)
+    PCAL_CONFIG_CHECK(cycles <= kMaxLevelCycles,
+                      name << " = " << cycles << " exceeds 2^32 cycles");
 }
 
 std::string CacheTopology::describe() const {

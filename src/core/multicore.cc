@@ -13,15 +13,12 @@
 namespace pcal {
 namespace {
 
-/// Accesses fetched per TraceSource::next_batch call (the Simulator's
-/// batch size — same consumption order at one core).  The engine stays
-/// on the per-access access() path: the round-robin IPC interleave serves
-/// one access per core per slot, and the shared LLC's way-mask swaps
-/// between cores mid-stream, so no core ever owns a long enough
-/// uninterrupted run for ManagedCache::access_batch to apply.
-constexpr std::size_t kBatchSize = 256;
+/// Ceiling on the run() batch size: caps each core's staging buffer at
+/// a few MB.
+constexpr std::uint64_t kMaxDriverBatch = 1 << 16;
 
-/// Observer cadence for runs with no re-indexing updates.
+/// Observer cadence for runs with no re-indexing updates (static /
+/// monolithic configs still stream interval stats).
 constexpr std::uint64_t kDefaultObserverIntervals = 16;
 
 void add_stats(CacheStats& into, const CacheStats& s) {
@@ -73,13 +70,17 @@ void MultiCoreConfig::validate() const {
       level.topology.validate();
     }
   }
-  PCAL_CONFIG_CHECK(llc.enabled(), "the shared LLC needs a nonzero size");
-  llc.topology.validate();
+  if (llc.enabled())
+    llc.topology.validate();
+  else
+    PCAL_CONFIG_CHECK(cores.size() == 1,
+                      cores.size() << " cores need a shared LLC");
   PCAL_CONFIG_CHECK(address_stride > 0, "address_stride must be nonzero");
 
   std::size_t masked = 0;
   for (const Core& core : cores) masked += core.llc_way_mask != 0 ? 1 : 0;
   if (masked == 0) return;
+  PCAL_CONFIG_CHECK(llc.enabled(), "LLC way masks need a shared LLC");
   PCAL_CONFIG_CHECK(masked == cores.size(),
                     "LLC way partitioning is all-or-none: "
                         << masked << " of " << cores.size()
@@ -111,10 +112,9 @@ std::string MultiCoreConfig::describe() const {
   HierarchyConfig priv;
   priv.levels = cores.front().levels;
   if (cores.size() == 1 && !partitioned()) {
-    // The 1-core degeneracy keeps the Simulator's label too.
-    HierarchyConfig chain = priv;
-    chain.levels.push_back(llc);
-    return chain.describe();
+    // One core is labelled like a single-stream hierarchy.
+    if (llc.enabled()) priv.levels.push_back(llc);
+    return priv.describe();
   }
   std::ostringstream os;
   os << cores.size() << "x[" << priv.describe() << "] | LLC";
@@ -138,7 +138,7 @@ MultiCoreSystem::MultiCoreSystem(MultiCoreConfig config)
 
 MultiCoreResult MultiCoreSystem::run(
     const std::vector<TraceSource*>& sources, const AgingLut* lut,
-    const IntervalObserver& observer) const {
+    const IntervalObserver& observer, std::uint64_t batch_size) const {
   const std::size_t num_cores = config_.cores.size();
   PCAL_CONFIG_CHECK(sources.size() == num_cores,
                     "got " << sources.size() << " trace sources for "
@@ -147,13 +147,15 @@ MultiCoreResult MultiCoreSystem::run(
     PCAL_CONFIG_CHECK(source != nullptr, "null trace source");
 
   // Per-core runtime state: the private backends plus the routing chain
-  // route_access walks — the private levels with the shared LLC
-  // appended, so the stream semantics are HierarchicalCache's.
+  // route_access walks — the private levels with the shared LLC (if
+  // any) appended, so the stream semantics are HierarchicalCache's.
   struct CoreRt {
     std::vector<std::unique_ptr<ManagedCache>> levels;
     std::vector<RoutedLevel> route;
+    std::vector<bool> flush;  // update_flush_plan of the routing chain
     TraceSource* source = nullptr;
     std::uint64_t offset = 0;
+    std::uint64_t quantum = 0;  // the source's boundary_hint, 0 = none
     std::vector<MemAccess> batch;
     std::size_t batch_n = 0;
     std::size_t batch_i = 0;
@@ -163,7 +165,9 @@ MultiCoreResult MultiCoreSystem::run(
     CacheStats llc_stats;
   };
 
-  std::unique_ptr<ManagedCache> llc = make_managed_cache(config_.llc.topology);
+  const bool shared = config_.llc.enabled();
+  std::unique_ptr<ManagedCache> llc;
+  if (shared) llc = make_managed_cache(config_.llc.topology);
   const bool partitioned = config_.partitioned();
   if (partitioned)
     PCAL_CONFIG_CHECK(llc->set_alloc_way_mask(~std::uint64_t{0}),
@@ -173,91 +177,112 @@ MultiCoreResult MultiCoreSystem::run(
                              "partitioning needs monolithic, bank or way "
                              "granularity");
 
+  const std::size_t batch = static_cast<std::size_t>(
+      std::min<std::uint64_t>(std::max<std::uint64_t>(batch_size, 1),
+                              kMaxDriverBatch));
+  const std::size_t depth = config_.cores.front().levels.size();
   std::vector<CoreRt> rt(num_cores);
+  bool any_rotates = false;
   for (std::size_t k = 0; k < num_cores; ++k) {
     CoreRt& c = rt[k];
     c.source = sources[k];
     c.source->reset();
     c.offset = k * config_.address_stride;
-    c.batch.resize(kBatchSize);
-    for (const LevelConfig& level : config_.cores[k].levels)
+    c.quantum = c.source->boundary_hint().value_or(0);
+    c.batch.resize(batch);
+    std::vector<LevelConfig> chain = config_.cores[k].levels;
+    for (const LevelConfig& level : chain)
       c.levels.push_back(make_managed_cache(level.topology));
-    for (std::size_t i = 0; i < c.levels.size(); ++i)
-      c.route.push_back(
-          {c.levels[i].get(), config_.cores[k].levels[i].inclusion});
-    c.route.push_back({llc.get(), config_.llc.inclusion});
+    for (std::size_t i = 0; i < depth; ++i)
+      c.route.push_back({c.levels[i].get(), chain[i].inclusion});
+    if (shared) {
+      chain.push_back(config_.llc);
+      c.route.push_back({llc.get(), config_.llc.inclusion});
+    }
+    c.flush = update_flush_plan(chain);
+    for (const bool f : c.flush) any_rotates = any_rotates || f;
   }
 
-  // Update cadence: the Simulator's even spread, computed over the
-  // summed size hints of all sources (identical to the single-stream
-  // cadence at one core).
+  // One update: every core's chain per its flush plan, the shared LLC
+  // once (its own entry is the same in every plan: it rotates).
+  const auto fire_update = [&] {
+    for (CoreRt& c : rt)
+      for (std::size_t i = 0; i < depth; ++i)
+        if (c.flush[i]) c.levels[i]->update_indexing();
+    if (shared && rt.front().flush.back()) llc->update_indexing();
+  };
+
+  // Update cadence: the requested updates spread evenly over the summed
+  // size hints of all sources.  Static indexing never rotates, so those
+  // (pointless) flushes are skipped — the conventional cache does not
+  // flush for aging.
   std::uint64_t total_hint = 0;
   bool all_hints = true;
-  for (std::size_t k = 0; k < num_cores; ++k) {
-    const auto h = rt[k].source->size_hint();
+  for (const CoreRt& c : rt) {
+    const auto h = c.source->size_hint();
     if (h)
       total_hint += *h;
     else
       all_hints = false;
   }
-  bool any_rotates = config_.llc.topology.rotates();
-  for (const MultiCoreConfig::Core& core : config_.cores)
-    for (const LevelConfig& level : core.levels)
-      any_rotates = any_rotates || level.topology.rotates();
-  const bool updates_enabled = any_rotates && config_.reindex_updates > 0;
   std::uint64_t update_interval = 0;
-  if (updates_enabled && all_hints && total_hint > config_.reindex_updates)
+  if (any_rotates && config_.reindex_updates > 0 && all_hints &&
+      total_hint > config_.reindex_updates)
     update_interval = total_hint / (config_.reindex_updates + 1);
+  // Context-switch alignment (the paper's zero-overhead piggybacking): a
+  // lone core whose source has a natural boundary — a multiprogrammed
+  // stream's quantum — gets the update interval rounded down to a whole
+  // number of quanta, so every flush lands exactly on a context switch
+  // that flushes anyway.  Quanta longer than the interval cannot be
+  // aligned to without starving the update budget; those stay on the
+  // even spread.
+  const std::uint64_t quantum = rt.front().quantum;
+  if (num_cores == 1 && update_interval >= quantum && quantum > 0)
+    update_interval -= update_interval % quantum;
   std::uint64_t interval = update_interval;
   if (interval == 0 && observer && all_hints)
     interval =
         std::max<std::uint64_t>(1, total_hint / kDefaultObserverIntervals);
 
-  // The flush plan of one update, mirroring
-  // HierarchicalCache::update_indexing per core chain: the signal
-  // enters every rotating level; the inclusive back-invalidation
-  // cascade climbs from the shared LLC into each core's last private
-  // level, then upward within each private stack.
-  const bool llc_rotates = config_.llc.topology.rotates();
-  std::vector<std::vector<char>> flush(num_cores);
-  for (std::size_t k = 0; k < num_cores; ++k) {
-    const std::vector<LevelConfig>& levels = config_.cores[k].levels;
-    flush[k].resize(levels.size(), 0);
-    for (std::size_t i = 0; i < levels.size(); ++i)
-      flush[k][i] = levels[i].topology.rotates() ? 1 : 0;
-    if (llc_rotates && config_.llc.inclusion == InclusionPolicy::kInclusive)
-      flush[k].back() = 1;
-    for (std::size_t i = levels.size(); i-- > 1;)
-      if (flush[k][i] && levels[i].inclusion == InclusionPolicy::kInclusive)
-        flush[k][i - 1] = 1;
-  }
-  const auto fire_update = [&] {
-    for (std::size_t k = 0; k < num_cores; ++k)
-      for (std::size_t i = 0; i < rt[k].levels.size(); ++i)
-        if (flush[k][i]) rt[k].levels[i]->update_indexing();
-    if (llc_rotates) llc->update_indexing();
-  };
-
   // Finite-resource contention over the whole system: one model whose
   // levels are every core's private stack (core-major) with the shared
   // LLC last — so LLC MSHRs, ports and fill bandwidth are genuinely
-  // shared across cores while private resources stay per core.  At one
-  // core the shape order collapses to the Simulator's, preserving the
-  // 1-core degeneracy bit for bit (contention on or off).
-  const std::size_t depth = config_.cores.front().levels.size();
+  // shared across cores while private resources stay per core.
   std::vector<ContentionLevelShape> shapes;
   shapes.reserve(num_cores * depth + 1);
   for (std::size_t k = 0; k < num_cores; ++k)
     for (const LevelConfig& level : config_.cores[k].levels)
       shapes.push_back(contention_shape_of(level.topology));
-  shapes.push_back(contention_shape_of(config_.llc.topology));
+  if (shared) shapes.push_back(contention_shape_of(config_.llc.topology));
   ContentionModel contention(std::move(shapes));
+
+  // Replays one access's level trace through the resource model, each
+  // event at its position on the stretched clock (`now` already counts
+  // the access's latency stall: the fill is in flight while the core
+  // stalls, and each event sees the stalls charged so far).  Private
+  // events map to core k's slots, the shared level to the last slot.
+  // Returns the extra resource stall.
+  const auto contend = [&](std::size_t k, const AccessOutcome& out,
+                           std::uint64_t now) {
+    std::uint64_t extra = 0;
+    for (std::uint8_t e = 0; e < out.num_events; ++e) {
+      const LevelEvent& le = out.events[e];
+      ContentionEvent ev;
+      ev.level = le.level < depth ? k * depth + le.level : num_cores * depth;
+      ev.unit = le.unit;
+      ev.address = le.address;
+      ev.miss = !le.hit;
+      ev.writeback = le.writeback;
+      extra += contention.on_event(ev, now + extra).total();
+    }
+    return extra;
+  };
 
   // Snapshot buffers, reused across boundaries (observers must copy what
   // they keep).  The group table is one row per (depth, core) private
   // level plus the shared LLC, in the depth-major unit order the result
-  // reports — at one core this collapses to the Simulator's per-level
-  // table with the same core = -1 convention for the chain's last level.
+  // reports.  A private level carries its core only when a shared level
+  // exists; a lone core's stack reports core = -1 throughout.
   std::vector<UnitGroupStates> snap_groups;
   std::vector<UnitPowerState> snap_states;
   const auto fill_unit_states = [&](IntervalSnapshot& snap) {
@@ -287,26 +312,10 @@ MultiCoreResult MultiCoreSystem::run(
     };
     for (std::size_t d = 0; d < depth; ++d)
       for (std::size_t k = 0; k < num_cores; ++k)
-        census(*rt[k].levels[d], static_cast<int>(k), d);
-    census(*llc, -1, depth);
+        census(*rt[k].levels[d], shared ? static_cast<int>(k) : -1, d);
+    if (shared) census(*llc, -1, depth);
     snap.groups = &snap_groups;
     snap.unit_states = &snap_states;
-  };
-
-  // A boundary is a context switch when any core's multiprogrammed
-  // source sits exactly on one of its quantum boundaries (the
-  // Simulator's rule, per core).
-  std::vector<std::uint64_t> quantum(num_cores, 0);
-  for (std::size_t k = 0; k < num_cores; ++k) {
-    const auto q = rt[k].source->boundary_hint();
-    if (q) quantum[k] = *q;
-  }
-  const auto at_context_switch = [&] {
-    for (std::size_t k = 0; k < num_cores; ++k)
-      if (quantum[k] > 0 && rt[k].accesses > 0 &&
-          rt[k].accesses % quantum[k] == 0)
-        return true;
-    return false;
   };
 
   // The global clock: one issued access per cycle plus its stalls;
@@ -316,16 +325,114 @@ MultiCoreResult MultiCoreSystem::run(
   std::uint64_t since_boundary = 0;
   std::uint64_t boundary_index = 0;
   std::uint64_t updates_applied = 0;
-  std::size_t live = num_cores;
+
+  const auto notify = [&](std::uint64_t index, bool fired) {
+    IntervalSnapshot snap;
+    snap.interval = index;
+    snap.cycles = timing.total_cycles();
+    snap.updates_applied = updates_applied;
+    snap.fired_update = fired;
+    snap.final_snapshot = index == 0;
+    // A boundary is a context switch when any core's multiprogrammed
+    // source sits exactly on one of its quantum boundaries.
+    for (const CoreRt& c : rt)
+      snap.context_switch =
+          snap.context_switch || (index != 0 && c.quantum > 0 &&
+                                  c.accesses > 0 && c.accesses % c.quantum == 0);
+    snap.accesses = timing.accesses();
+    snap.stall_cycles = timing.stall_cycles();
+    snap.stats = &rt.front().levels.front()->stats();
+    fill_unit_states(snap);
+    observer(snap);
+  };
+
+  // Everything that happens at an update/observer boundary: fire the
+  // re-indexing update while budget remains, then hand the observer its
+  // snapshot.
+  const auto on_boundary = [&] {
+    since_boundary = 0;
+    ++boundary_index;
+    bool fired = false;
+    if (update_interval != 0 && updates_applied < config_.reindex_updates) {
+      fire_update();
+      ++updates_applied;
+      fired = true;
+    }
+    if (observer) notify(boundary_index, fired);
+  };
+
+  // Serves a run of `n` accesses of core k and returns their stall.  A
+  // lone single-level core hands the whole run to the backend's batch
+  // entry point (which applies each access's latency stall itself);
+  // under contention runs are one access long and the outcome's event
+  // replays through the resource model, whose stall advances the clock
+  // on top.  Every other chain routes one access at a time.
+  const bool batched = num_cores == 1 && depth == 1 && !shared;
+  std::vector<AccessOutcome> outs(contention.enabled() ? 1 : 0);
+  AccessOutcome* const out = outs.empty() ? nullptr : outs.data();
   std::size_t mask_owner = num_cores;  // sentinel: force the first switch
+  const auto serve_run = [&](std::size_t k, const MemAccess* accesses,
+                             std::size_t n) -> std::uint64_t {
+    CoreRt& c = rt[k];
+    if (batched) {
+      ManagedCache& cache = *c.levels.front();
+      std::uint64_t stalls = cache.access_batch(accesses, n, out);
+      if (contention.enabled()) {
+        const std::uint64_t extra =
+            contend(k, outs[0], timing.total_cycles() + stalls);
+        if (extra != 0) cache.advance_idle(extra);
+        stalls += extra;
+      }
+      timing.on_batch(n, stalls);
+      return stalls;
+    }
+    if (partitioned && mask_owner != k) {
+      llc->set_alloc_way_mask(config_.cores[k].llc_way_mask);
+      mask_owner = k;
+    }
+    std::uint64_t stalls = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      CacheStats llc_before;
+      if (shared) llc_before = llc->stats();
+      const AccessOutcome o = route_access(
+          c.route.data(), c.route.size(), accesses[i].address + c.offset,
+          accesses[i].kind == AccessKind::kWrite);
+      if (shared) add_delta(c.llc_stats, llc_before, llc->stats());
+      std::uint64_t stall = o.stall_cycles;
+      if (contention.enabled())
+        stall += contend(k, o, timing.total_cycles() + stall);
+      // Every other core's private levels idle this cycle (the LLC was
+      // advanced inside route_access, referenced or idle).
+      for (std::size_t j = 0; j < num_cores; ++j) {
+        if (j == k) continue;
+        for (auto& level : rt[j].levels) level->advance_idle(1);
+      }
+      if (stall != 0) {
+        for (CoreRt& other : rt)
+          for (auto& level : other.levels) level->advance_idle(stall);
+        if (shared) llc->advance_idle(stall);
+      }
+      timing.on_access(stall);
+      stalls += stall;
+    }
+    return stalls;
+  };
+
+  // The one serving loop.  Cores take turns in weighted round-robin
+  // order, each turn a run of up to ipc_weight accesses (a lone core's
+  // turn lasts until its source ends); runs split exactly at boundaries,
+  // so updates and snapshots land on the same access positions at every
+  // batch size.
+  std::size_t live = num_cores;
   while (live > 0) {
     for (std::size_t k = 0; k < num_cores; ++k) {
       CoreRt& c = rt[k];
       if (c.done) continue;
-      const std::uint64_t weight = config_.cores[k].ipc_weight;
-      for (std::uint64_t slot = 0; slot < weight; ++slot) {
-        if (c.batch_i >= c.batch_n) {
-          c.batch_n = c.source->next_batch(c.batch.data(), kBatchSize);
+      std::uint64_t quota = num_cores == 1 ? ~std::uint64_t{0}
+                                           : config_.cores[k].ipc_weight;
+      while (quota > 0) {
+        if (c.batch_i == c.batch_n) {
+          c.batch_n = c.source->next_batch(c.batch.data(), batch);
           c.batch_i = 0;
           if (c.batch_n == 0) {
             c.done = true;
@@ -333,98 +440,47 @@ MultiCoreResult MultiCoreSystem::run(
             break;
           }
         }
-        const MemAccess a = c.batch[c.batch_i++];
-        if (partitioned && mask_owner != k) {
-          llc->set_alloc_way_mask(config_.cores[k].llc_way_mask);
-          mask_owner = k;
-        }
-        const CacheStats llc_before = llc->stats();
-        const AccessOutcome out =
-            route_access(c.route.data(), c.route.size(),
-                         a.address + c.offset,
-                         a.kind == AccessKind::kWrite);
-        add_delta(c.llc_stats, llc_before, llc->stats());
-        std::uint64_t stall = out.stall_cycles;
-        if (contention.enabled()) {
-          // Replay the routed chain's level trace through the shared
-          // resource model: private events map to this core's slots,
-          // the last level to the shared LLC slot (Simulator semantics,
-          // system wide).
-          const std::uint64_t now = timing.total_cycles();
-          for (std::uint8_t e = 0; e < out.num_events; ++e) {
-            const LevelEvent& le = out.events[e];
-            ContentionEvent ev;
-            ev.level = le.level < depth ? k * depth + le.level
-                                        : num_cores * depth;
-            ev.unit = le.unit;
-            ev.address = le.address;
-            ev.miss = !le.hit;
-            ev.writeback = le.writeback;
-            stall += contention.on_event(ev, now + stall).total();
-          }
-        }
-        // Every other core's private levels idle this cycle (the LLC
-        // was advanced inside route_access, referenced or idle).
-        for (std::size_t j = 0; j < num_cores; ++j) {
-          if (j == k) continue;
-          for (auto& level : rt[j].levels) level->advance_idle(1);
-        }
-        if (stall != 0) {
-          for (CoreRt& other : rt)
-            for (auto& level : other.levels)
-              level->advance_idle(stall);
-          llc->advance_idle(stall);
-        }
-        timing.on_access(stall);
-        ++c.accesses;
-        c.stalls += stall;
-        if (interval != 0 && ++since_boundary >= interval) {
-          since_boundary = 0;
-          ++boundary_index;
-          bool fired = false;
-          if (update_interval != 0 &&
-              updates_applied < config_.reindex_updates) {
-            fire_update();
-            ++updates_applied;
-            fired = true;
-          }
-          if (observer) {
-            IntervalSnapshot snap;
-            snap.interval = boundary_index;
-            snap.cycles = rt.front().levels.front()->cycles();
-            snap.updates_applied = updates_applied;
-            snap.fired_update = fired;
-            snap.context_switch = at_context_switch();
-            snap.accesses = timing.accesses();
-            snap.stall_cycles = timing.stall_cycles();
-            snap.stats = &rt.front().levels.front()->stats();
-            fill_unit_states(snap);
-            observer(snap);
-          }
-        }
+        std::uint64_t take =
+            std::min<std::uint64_t>(c.batch_n - c.batch_i, quota);
+        if (interval != 0) take = std::min(take, interval - since_boundary);
+        if (batched && contention.enabled()) take = 1;
+        const std::size_t n = static_cast<std::size_t>(take);
+        c.stalls += serve_run(k, c.batch.data() + c.batch_i, n);
+        c.batch_i += n;
+        c.accesses += take;
+        quota -= take;
+        // Every cycle parameter is at most 2^32 (CacheTopology::validate),
+        // so no run can wrap 2^64 before this check sees it.
+        PCAL_CONFIG_CHECK(timing.total_cycles() <= kMaxClockCycles,
+                          "the simulated clock passed 2^63 cycles after "
+                              << timing.accesses() << " accesses");
+        since_boundary += take;
+        if (interval != 0 && since_boundary >= interval) on_boundary();
       }
     }
   }
   for (CoreRt& c : rt)
     for (auto& level : c.levels) level->finish();
-  llc->finish();
+  if (shared) llc->finish();
 
   // One clock: every level of every core and the LLC must agree with
-  // the driver's stall accounting (the Simulator's invariant, system
-  // wide).
+  // the driver's stall accounting (total = accesses + stalls is a
+  // CI-gated record invariant; a new non-access clock advance would
+  // break it here, next to its cause, rather than in the bench-JSON
+  // gate).
   const std::uint64_t cycles = timing.total_cycles();
   for (const CoreRt& c : rt)
     for (const auto& level : c.levels)
       PCAL_ASSERT_MSG(cycles == level->cycles(),
                       "driver clock " << cycles << " != level clock "
                                       << level->cycles());
-  PCAL_ASSERT_MSG(cycles == llc->cycles(),
-                  "driver clock " << cycles << " != LLC clock "
-                                  << llc->cycles());
+  if (shared)
+    PCAL_ASSERT_MSG(cycles == llc->cycles(),
+                    "driver clock " << cycles << " != LLC clock "
+                                    << llc->cycles());
 
   // Depth-major unit order: every core's L1 units, then every core's
-  // L2 units, ..., then the LLC's — which collapses to the Simulator's
-  // level order at one core.
+  // L2 units, ..., then the LLC's.
   struct UnitRef {
     const ManagedCache* cache;
     std::uint64_t local;
@@ -434,44 +490,42 @@ MultiCoreResult MultiCoreSystem::run(
     for (std::size_t k = 0; k < num_cores; ++k)
       for (std::uint64_t u = 0; u < rt[k].levels[d]->num_units(); ++u)
         unit_order.push_back({rt[k].levels[d].get(), u});
-  for (std::uint64_t u = 0; u < llc->num_units(); ++u)
-    unit_order.push_back({llc.get(), u});
+  if (shared)
+    for (std::uint64_t u = 0; u < llc->num_units(); ++u)
+      unit_order.push_back({llc.get(), u});
 
   MultiCoreResult result;
   SimResult& r = result.system;
-  {
-    std::string workload;
-    for (std::size_t k = 0; k < num_cores; ++k)
-      workload += (k ? "+" : "") + sources[k]->name();
-    r.workload = std::move(workload);
-  }
+  for (std::size_t k = 0; k < num_cores; ++k)
+    r.workload += (k ? "+" : "") + sources[k]->name();
   r.config_label = config_.describe();
-  r.granularity = config_.cores.front().levels.front().topology.granularity;
-  r.policy = config_.cores.front().levels.front().topology.policy;
+  const CacheTopology& l1 = config_.cores.front().levels.front().topology;
+  r.granularity = l1.granularity;
+  r.policy = l1.policy;
   r.accesses = timing.accesses();
   r.total_cycles = cycles;
   r.stall_cycles = timing.stall_cycles();
   r.mshr_stall_cycles = contention.totals().mshr;
   r.port_stall_cycles = contention.totals().port;
   r.bw_stall_cycles = contention.totals().bw;
-  r.breakeven_cycles =
-      config_.cores.front().levels.front().topology.breakeven_cycles;
+  r.breakeven_cycles = l1.breakeven_cycles;
   r.reindex_updates_applied = updates_applied;
   // What "the CPU" sees: the sum of every core's L1 tag store.
-  for (std::size_t k = 0; k < num_cores; ++k)
-    add_stats(r.cache_stats, rt[k].levels.front()->stats());
+  for (const CoreRt& c : rt) add_stats(r.cache_stats, c.levels.front()->stats());
   for (std::size_t d = 0; d < depth; ++d) {
     CacheStats agg;
     std::uint64_t units = 0;
-    for (std::size_t k = 0; k < num_cores; ++k) {
-      add_stats(agg, rt[k].levels[d]->stats());
-      units += rt[k].levels[d]->num_units();
+    for (const CoreRt& c : rt) {
+      add_stats(agg, c.levels[d]->stats());
+      units += c.levels[d]->num_units();
     }
     r.level_stats.push_back(agg);
     r.level_units.push_back(units);
   }
-  r.level_stats.push_back(llc->stats());
-  r.level_units.push_back(llc->num_units());
+  if (shared) {
+    r.level_stats.push_back(llc->stats());
+    r.level_units.push_back(llc->num_units());
+  }
 
   const std::size_t num_units = unit_order.size();
   std::vector<UnitActivity> activity(num_units);
@@ -492,36 +546,29 @@ MultiCoreResult MultiCoreSystem::run(
     residency[u] = ur.sleep_residency;
   }
 
-  // Per-(depth, core) slices priced with each level's own unit model,
-  // accumulated in depth-outer / core-inner order — at one core this is
-  // the Simulator's per-level addition order, so the doubles match bit
-  // for bit.  The LLC is priced last.
+  // Price each (depth, core) slice with its level's own unit model and
+  // add the reports in depth-outer / core-inner order, the LLC last;
+  // the baseline is the never-sleeping monolithic stack of the same
+  // levels.  Leakage is priced over the stall-stretched wall clock.
   std::vector<EnergyReport> core_private(num_cores);
   std::size_t offset = 0;
-  for (std::size_t d = 0; d < depth; ++d) {
-    for (std::size_t k = 0; k < num_cores; ++k) {
-      const std::uint64_t n = rt[k].levels[d]->num_units();
-      const std::vector<UnitActivity> slice(
-          activity.begin() + static_cast<std::ptrdiff_t>(offset),
-          activity.begin() + static_cast<std::ptrdiff_t>(offset + n));
-      const UnitEnergyModel model(config_.energy_params, config_.tech,
-                                  config_.cores[k].levels[d].topology);
-      const EnergyReport report = price_unit_run(model, slice, cycles);
-      r.energy += report;
-      core_private[k] += report;
-      offset += n;
-    }
-  }
-  EnergyReport llc_report;
-  {
+  const auto price = [&](const CacheTopology& topology, std::uint64_t n) {
     const std::vector<UnitActivity> slice(
         activity.begin() + static_cast<std::ptrdiff_t>(offset),
-        activity.end());
+        activity.begin() + static_cast<std::ptrdiff_t>(offset + n));
     const UnitEnergyModel model(config_.energy_params, config_.tech,
-                                config_.llc.topology);
-    llc_report = price_unit_run(model, slice, cycles);
-    r.energy += llc_report;
-  }
+                                topology);
+    const EnergyReport report = price_unit_run(model, slice, cycles);
+    r.energy += report;
+    offset += n;
+    return report;
+  };
+  for (std::size_t d = 0; d < depth; ++d)
+    for (std::size_t k = 0; k < num_cores; ++k)
+      core_private[k] += price(config_.cores[k].levels[d].topology,
+                               rt[k].levels[d]->num_units());
+  EnergyReport llc_report;
+  if (shared) llc_report = price(config_.llc.topology, llc->num_units());
 
   if (lut != nullptr) {
     const CacheLifetimeEvaluator evaluator(*lut);
@@ -530,18 +577,7 @@ MultiCoreResult MultiCoreSystem::run(
       r.units[u].lifetime_years = r.lifetime->banks[u].lifetime_years;
   }
 
-  if (observer) {
-    IntervalSnapshot snap;
-    snap.interval = 0;
-    snap.cycles = cycles;
-    snap.updates_applied = r.reindex_updates_applied;
-    snap.final_snapshot = true;
-    snap.accesses = timing.accesses();
-    snap.stall_cycles = timing.stall_cycles();
-    snap.stats = &rt.front().levels.front()->stats();
-    fill_unit_states(snap);
-    observer(snap);
-  }
+  if (observer) notify(0, false);
 
   std::uint64_t total_llc = 0;
   for (const CoreRt& c : rt) total_llc += c.llc_stats.accesses;
@@ -560,7 +596,7 @@ MultiCoreResult MultiCoreSystem::run(
         total_llc > 0 ? static_cast<double>(c.llc_stats.accesses) /
                             static_cast<double>(total_llc)
                       : 1.0 / static_cast<double>(num_cores);
-    cr.energy += scale_report(llc_report, share);
+    if (shared) cr.energy += scale_report(llc_report, share);
     double sum = 0.0;
     std::uint64_t n = 0;
     for (std::size_t d = 0; d < depth; ++d)

@@ -76,7 +76,9 @@ struct MultiCoreConfig {
 
   std::vector<Core> cores;
   /// The shared last-level cache; its inclusion policy relates it to the
-  /// private level above it, exactly as in a HierarchyConfig.
+  /// private level above it, exactly as in a HierarchyConfig.  A
+  /// disabled (zero-size) LLC means no shared level, which only one core
+  /// may have: the Simulator's shape.
   LevelConfig llc;
   /// Re-indexing updates spread evenly over the run (Simulator
   /// semantics; 0 disables).
@@ -142,11 +144,19 @@ class MultiCoreSystem {
 
   /// Runs every source to exhaustion (cores whose stream ends early drop
   /// out of the rotation; the rest keep issuing).  `sources` must hold
-  /// one non-null source per configured core.  The observer sees core
-  /// 0's L1 through the same snapshots the Simulator emits.
+  /// one non-null source per configured core.  If `lut` is non-null the
+  /// result includes per-unit and cache lifetimes.  If `observer` is
+  /// non-null it is called at every re-indexing boundary (for runs with
+  /// no updates: at a default cadence of 16 intervals when every
+  /// source's size is known) and once after the run completes; its
+  /// `stats` are core 0's L1.  `batch_size` accesses are fetched per
+  /// TraceSource::next_batch call (clamped to [1, 65536]); every batch
+  /// size gives bit-identical results.  Throws ConfigError if the clock
+  /// passes kMaxClockCycles.
   MultiCoreResult run(const std::vector<TraceSource*>& sources,
                       const AgingLut* lut = nullptr,
-                      const IntervalObserver& observer = {}) const;
+                      const IntervalObserver& observer = {},
+                      std::uint64_t batch_size = 256) const;
 
   const MultiCoreConfig& config() const { return config_; }
 

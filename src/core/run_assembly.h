@@ -46,7 +46,6 @@ namespace pcal {
 /// worst case against kMaxClockCycles.
 constexpr std::uint64_t kMaxLatencyCycles = std::uint64_t{1} << 20;
 constexpr std::uint64_t kMaxAccesses = std::uint64_t{1} << 32;
-constexpr std::uint64_t kMaxClockCycles = std::uint64_t{1} << 63;
 
 /// Unsigned integer with an optional k/M byte multiplier ("8k" = 8192).
 /// Throws ParseError("<where>: ...") on anything else.

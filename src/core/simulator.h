@@ -242,7 +242,6 @@ struct IntervalSnapshot {
   std::uint64_t accesses = 0;
   std::uint64_t stall_cycles = 0;
   const CacheStats* stats = nullptr;
-  const ManagedCache* cache = nullptr;
   /// Per-(core, level) power-state census, in unit-vector order, and the
   /// flat per-unit states it was counted from.  Both point at buffers
   /// the engine reuses between boundaries: valid only for the duration

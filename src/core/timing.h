@@ -37,6 +37,14 @@
 
 namespace pcal {
 
+/// The simulated clock never passes 2^63 cycles: the driver throws
+/// ConfigError once it does (docs/ROBUSTNESS.md, "Clock bounds").
+constexpr std::uint64_t kMaxClockCycles = std::uint64_t{1} << 63;
+
+/// Bound on every per-level cycle parameter (latencies, contention
+/// hold times, breakeven, drowsy window; CacheTopology::validate).
+constexpr std::uint64_t kMaxLevelCycles = std::uint64_t{1} << 32;
+
 /// How deep the serving unit was sleeping when an access arrived.
 enum class WakeDepth : std::uint8_t {
   kAwake = 0,   // unit was active: no wakeup cost

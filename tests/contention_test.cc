@@ -466,5 +466,49 @@ TEST(ContentionMultiCore, SharedLlcResourcesStallAndKeepTheIdentity) {
   EXPECT_LE(breakdown, r.stall_cycles);
 }
 
+TEST(ClockBound, HugeCycleParametersAreRefusedOnEveryPath) {
+  // A config built directly, past RunAssembly's key bounds: one MSHR held
+  // 2^62 cycles used to run to total_cycles = 13835058055282163725 (past
+  // 2^63) with no error.  Every level topology now bounds its cycle
+  // parameters at 2^32, on the Simulator and on the 2-core path.
+  SimConfig wrapping = paper_config(8192, 16, 4);
+  wrapping.contention.mshrs = 1;
+  wrapping.contention.mshr_latency_cycles = std::uint64_t{1} << 62;
+  EXPECT_THROW(Simulator{wrapping}, ConfigError);
+
+  const SimConfig cfg = paper_config(8192, 16, 4);
+  LevelConfig llc = cfg.make_level(64 * 1024);
+  llc.topology.contention.mshrs = 1;
+  llc.topology.contention.mshr_latency_cycles = std::uint64_t{1} << 62;
+  EXPECT_THROW(MultiCoreSystem{make_multicore(cfg, 2, llc)}, ConfigError);
+  llc.topology.contention.mshr_latency_cycles = kMaxLevelCycles + 1;
+  EXPECT_THROW(MultiCoreSystem{make_multicore(cfg, 2, llc)}, ConfigError);
+  LevelConfig wide = cfg.make_level(64 * 1024);
+  wide.topology.latency.miss_cycles = kMaxLevelCycles + 1;
+  SimConfig deep = cfg;
+  deep.lower_levels.push_back(wide);
+  EXPECT_THROW(Simulator{deep}, ConfigError);
+
+  // At the bound itself both paths run, each miss waiting up to 2^32
+  // cycles for the one MSHR, and the clock stays exact.
+  const WorkloadSpec spec = make_streaming_workload(64 * 1024);
+  SimConfig edge = wrapping;
+  edge.contention.mshr_latency_cycles = kMaxLevelCycles;
+  SyntheticTraceSource a(spec, 2000);
+  const SimResult single = Simulator(edge).run(a);
+  EXPECT_GT(single.mshr_stall_cycles, kMaxLevelCycles);
+  EXPECT_EQ(single.total_cycles, single.accesses + single.stall_cycles);
+  EXPECT_LE(single.total_cycles, kMaxClockCycles);
+
+  llc.topology.contention.mshr_latency_cycles = kMaxLevelCycles;
+  SyntheticTraceSource b(spec, 2000), c(spec, 2000);
+  const MultiCoreResult two =
+      MultiCoreSystem(make_multicore(cfg, 2, llc)).run({&b, &c});
+  EXPECT_GT(two.system.mshr_stall_cycles, kMaxLevelCycles);
+  EXPECT_EQ(two.system.total_cycles,
+            two.system.accesses + two.system.stall_cycles);
+  EXPECT_LE(two.system.total_cycles, kMaxClockCycles);
+}
+
 }  // namespace
 }  // namespace pcal

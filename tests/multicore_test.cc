@@ -3,7 +3,9 @@
 //   1. the 1-core degeneracy: one unpartitioned core over the shared LLC
 //      reproduces the single-stream Simulator — whose config is the
 //      core's levels with the LLC appended — bit for bit (cycles, label,
-//      per-unit stats, energy, lifetime);
+//      per-unit stats, energy, lifetime, contention stalls, the update
+//      positions and the final census), on a plain, a multiprogrammed
+//      and a contended timed stream;
 //   2. scheduling independence: identical multi-core SweepJobs produce
 //      identical outcomes on the SweepRunner pool (CMake registers this
 //      binary at the default width, PCAL_SWEEP_THREADS=1 and =8);
@@ -15,9 +17,12 @@
 //      between a fully shared and a way-partitioned LLC.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/experiment.h"
 #include "core/multicore.h"
 #include "core/sweep.h"
+#include "trace/multiprogram.h"
 #include "trace/workloads.h"
 #include "util/error.h"
 
@@ -92,21 +97,51 @@ void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_DOUBLE_EQ(a.lifetime_years(), b.lifetime_years());
 }
 
-TEST(MultiCore, OneCoreUnpartitionedEqualsSimulator) {
-  const SimConfig base = base_config();
-  const LevelConfig llc = make_llc(base);
+/// What an observer sees of a run's cadence: the access positions at
+/// which updates fired, and the final census per hierarchy level as
+/// {units, awake, drowsy, gated} (the `core` tag is left out: it marks
+/// private levels only when a shared level exists).
+struct Cadence {
+  std::vector<std::uint64_t> update_positions;
+  std::vector<std::vector<std::uint64_t>> final_census;
+};
 
+IntervalObserver record_cadence(Cadence& cadence) {
+  return [&cadence](const IntervalSnapshot& snap) {
+    if (snap.fired_update) cadence.update_positions.push_back(snap.accesses);
+    if (!snap.final_snapshot) return;
+    for (const UnitGroupStates& g : *snap.groups)
+      cadence.final_census.push_back(
+          {g.level, g.units, g.awake, g.drowsy, g.gated});
+  };
+}
+
+/// One unpartitioned core over `llc` must equal the Simulator whose
+/// config appends `llc` as its last lower level, bit for bit.
+void expect_one_core_identity(
+    const SimConfig& base, const LevelConfig& llc,
+    const std::function<std::unique_ptr<TraceSource>()>& make_source) {
   SimConfig single = base;
   single.lower_levels.push_back(llc);
-  auto src_a = source_for("cjpeg");
-  const SimResult a = Simulator(single).run(*src_a, &aging().lut());
+  auto src_a = make_source();
+  Cadence cadence_a;
+  const SimResult a = Simulator(single).run(*src_a, &aging().lut(),
+                                            record_cadence(cadence_a));
 
   const MultiCoreConfig mc = make_multicore(base, 1, llc, 0);
-  auto src_b = source_for("cjpeg");
-  const MultiCoreResult b =
-      MultiCoreSystem(mc).run({src_b.get()}, &aging().lut());
+  auto src_b = make_source();
+  Cadence cadence_b;
+  const MultiCoreResult b = MultiCoreSystem(mc).run(
+      {src_b.get()}, &aging().lut(), record_cadence(cadence_b));
 
   expect_identical(a, b.system);
+  EXPECT_EQ(a.mshr_stall_cycles, b.system.mshr_stall_cycles);
+  EXPECT_EQ(a.port_stall_cycles, b.system.port_stall_cycles);
+  EXPECT_EQ(a.bw_stall_cycles, b.system.bw_stall_cycles);
+  EXPECT_EQ(cadence_a.update_positions, cadence_b.update_positions);
+  EXPECT_FALSE(cadence_a.update_positions.empty());
+  EXPECT_EQ(cadence_a.final_census, cadence_b.final_census);
+  EXPECT_EQ(cadence_a.final_census.size(), a.level_units.size());
 
   // The single core owns everything.
   ASSERT_EQ(b.cores.size(), 1u);
@@ -114,6 +149,44 @@ TEST(MultiCore, OneCoreUnpartitionedEqualsSimulator) {
   EXPECT_EQ(b.cores[0].llc_stats.accesses, a.level_stats.back().accesses);
   EXPECT_DOUBLE_EQ(b.cores[0].energy.partitioned.total_pj(),
                    a.energy.partitioned.total_pj());
+}
+
+TEST(MultiCore, OneCoreUnpartitionedEqualsSimulator) {
+  const SimConfig base = base_config();
+  const LevelConfig llc = make_llc(base);
+  {
+    SCOPED_TRACE("cjpeg");
+    expect_one_core_identity(base, llc, [] { return source_for("cjpeg"); });
+  }
+  {
+    // A multiprogrammed stream: both runs round the update interval
+    // down to whole 7000-access quanta, so every update lands on a
+    // context switch.
+    SCOPED_TRACE("sha+cjpeg, quantum 7000");
+    MultiProgramConfig programs;
+    programs.programs = {make_mediabench_workload("sha"),
+                         make_mediabench_workload("cjpeg")};
+    programs.quantum_accesses = 7000;
+    expect_one_core_identity(base, llc, [&programs] {
+      return std::make_unique<MultiProgramSource>(programs, 200'000);
+    });
+  }
+  {
+    // Finite resources on the timed clock, at L1 and at the LLC.
+    SCOPED_TRACE("contention with latencies");
+    SimConfig timed = base;
+    timed.latency.miss_cycles = 8;
+    timed.latency.gated_wake_cycles = 3;
+    timed.contention.mshrs = 2;
+    timed.contention.bytes_per_cycle = 4;
+    LevelConfig timed_llc = make_llc(timed);
+    timed_llc.topology.latency.hit_cycles = 2;
+    timed_llc.topology.latency.miss_cycles = 30;
+    timed_llc.topology.contention.mshrs = 2;
+    timed_llc.topology.contention.bytes_per_cycle = 2;
+    expect_one_core_identity(timed, timed_llc,
+                             [] { return source_for("cjpeg", 100'000); });
+  }
 }
 
 TEST(MultiCore, SweepJobsAreSchedulingIndependent) {

@@ -186,14 +186,21 @@ TEST(Simulator, ObserverStreamsIntervalSnapshots) {
   const SimResult r = Simulator(cfg).run(
       src, nullptr, [&](const IntervalSnapshot& snap) {
         ASSERT_NE(snap.stats, nullptr);
-        ASSERT_NE(snap.cache, nullptr);
+        // One group: the single level, on no core.
+        ASSERT_NE(snap.groups, nullptr);
+        ASSERT_NE(snap.unit_states, nullptr);
+        ASSERT_EQ(snap.groups->size(), 1u);
+        const UnitGroupStates& g = snap.groups->front();
+        EXPECT_EQ(g.core, -1);
+        EXPECT_EQ(g.units, 4u);
+        EXPECT_EQ(snap.unit_states->size(), g.units);
+        EXPECT_EQ(g.awake + g.drowsy + g.gated, g.units);
+        EXPECT_EQ(g.stats.accesses, snap.stats->accesses);
         EXPECT_GE(snap.cycles, last_cycles);
         last_cycles = snap.cycles;
         if (snap.final_snapshot) {
           ++finals;
           EXPECT_EQ(snap.cycles, 100'000u);
-          // The backend has finished: residency queries are valid here.
-          EXPECT_GE(snap.cache->avg_residency(), 0.0);
         } else {
           ++boundaries;
           if (snap.fired_update) ++updates_seen;
