@@ -40,8 +40,12 @@
 // the driver stretches the global clock by that sum.
 //
 // The hierarchy presents the concatenated unit vector — level 0's units
-// first, then each level below in order — so the one Simulator engine
-// reports per-unit idleness, energy and lifetime across all levels.
+// first, then each level below in order — for callers that want a
+// stack as one ManagedCache.  The driver (MultiCoreSystem::run, which
+// Simulator::run calls) does not wrap stacks in it: it walks each
+// core's chain with route_access directly, and keeps access_batch for a
+// lone single-level core.  Both apply the same flush rule,
+// update_flush_plan.
 // stats() is level 0's tag store (what the CPU sees); level_stats(i)
 // exposes the others.  update_indexing fires the update signal into every
 // level whose indexing actually rotates (a static-indexed or single-unit

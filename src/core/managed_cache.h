@@ -279,8 +279,8 @@ class ManagedCache {
   /// and past num_events are unspecified.
   ///
   /// A null `out` means stalls only: the accesses are simulated exactly
-  /// as above and no outcome is stored.  Simulator::run passes null
-  /// unless a consumer (contention) reads the outcomes; a 256-access
+  /// as above and no outcome is stored.  The driver (MultiCoreSystem::run)
+  /// passes null unless a consumer (contention) reads the outcomes; a 256-access
   /// outcome array is larger than a typical L1 data cache.
   ///
   /// Returns the batch's summed stall_cycles, so the driver's clock

@@ -334,11 +334,12 @@ MultiCoreResult MultiCoreSystem::run(
     snap.fired_update = fired;
     snap.final_snapshot = index == 0;
     // A boundary is a context switch when any core's multiprogrammed
-    // source sits exactly on one of its quantum boundaries.
+    // source sits exactly on one of its quantum boundaries (the final
+    // snapshot is no boundary).
     for (const CoreRt& c : rt)
-      snap.context_switch =
-          snap.context_switch || (index != 0 && c.quantum > 0 &&
-                                  c.accesses > 0 && c.accesses % c.quantum == 0);
+      if (!snap.final_snapshot && c.quantum > 0 && c.accesses > 0 &&
+          c.accesses % c.quantum == 0)
+        snap.context_switch = true;
     snap.accesses = timing.accesses();
     snap.stall_cycles = timing.stall_cycles();
     snap.stats = &rt.front().levels.front()->stats();
@@ -511,7 +512,8 @@ MultiCoreResult MultiCoreSystem::run(
   r.breakeven_cycles = l1.breakeven_cycles;
   r.reindex_updates_applied = updates_applied;
   // What "the CPU" sees: the sum of every core's L1 tag store.
-  for (const CoreRt& c : rt) add_stats(r.cache_stats, c.levels.front()->stats());
+  for (const CoreRt& c : rt)
+    add_stats(r.cache_stats, c.levels.front()->stats());
   for (std::size_t d = 0; d < depth; ++d) {
     CacheStats agg;
     std::uint64_t units = 0;

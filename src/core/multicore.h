@@ -8,6 +8,18 @@
 // all backed by ONE shared managed LLC, advanced on a single global
 // clock.
 //
+// ## One driver
+//
+// MultiCoreSystem::run is the engine's only driver: Simulator::run is
+// its one-core case with no shared level (a disabled `llc`).  The update
+// cadence, quantum alignment (applied whenever the system has one
+// core), context-switch flags, flush plan, census, contention replay,
+// clock checks, pricing and result assembly each exist here once.  The
+// serving loop hands each core a run of accesses: a lone core with a
+// single level passes the run to ManagedCache::access_batch (outcomes
+// only under contention); every other chain routes one access at a
+// time.
+//
 // ## Data flow (one issued access)
 //
 //   core k's TraceSource --> [core k L1 .. Lp] --> shared LLC
@@ -39,7 +51,10 @@
 //
 //   1 core, unpartitioned LLC  ==  single-stream Simulator whose config
 //   is the core's levels with the LLC appended as the last lower level —
-//   bit for bit: cycles, per-unit stats, interval snapshots and energy.
+//   bit for bit: cycles, per-unit stats, update positions, census counts
+//   and energy, on plain, multiprogrammed and contended streams.  Only
+//   the census `core` tag differs: the private levels carry core 0 when
+//   the LLC is shared, -1 when every level is private.
 //
 // ## Attribution
 //
@@ -168,8 +183,10 @@ class MultiCoreSystem {
 /// every core's private stack is the config's L1 (with its resolved
 /// breakeven) plus its enabled lower levels, and `llc` is the shared
 /// last level.  `ways_per_core` > 0 assigns core k the contiguous mask
-/// ((1 << wpc) - 1) << (k * wpc); 0 leaves the LLC fully shared.  With
-/// num_cores == 1 and ways_per_core == 0 the result reproduces
+/// ((1 << wpc) - 1) << (k * wpc); 0 leaves the LLC fully shared.  A
+/// disabled (zero-size) `llc` builds the one-core, no-shared-level
+/// system Simulator::run drives.  With num_cores == 1 and
+/// ways_per_core == 0 the result reproduces
 /// Simulator(config-with-llc-appended) bit for bit.
 MultiCoreConfig make_multicore(const SimConfig& config,
                                std::size_t num_cores,

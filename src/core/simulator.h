@@ -3,14 +3,22 @@
 // Drives a TraceSource through any ManagedCache backend (monolithic,
 // banked, line-grain, way-grain — selected by SimConfig::granularity and
 // built via make_managed_cache; optionally wrapped in the drowsy/gated
-// hybrid, and optionally stacked over further levels into an N-level
-// HierarchicalCache with per-level inclusion policies), firing
-// re-indexing updates on a configurable cadence (the paper piggybacks
-// them on cache flushes that happen anyway; here the cadence is the
-// number of updates spread evenly over the run).  Produces the complete
-// set of per-run observables the paper's evaluation reports: per-unit
-// useful idleness, energy saving vs a monolithic baseline, and — given
-// an aging LUT — the cache lifetime.
+// hybrid, and optionally stacked over further levels with per-level
+// inclusion policies), firing re-indexing updates on a configurable
+// cadence (the paper piggybacks them on cache flushes that happen
+// anyway; here the cadence is the number of updates spread evenly over
+// the run, rounded down to whole quanta of a multiprogrammed source).
+// Produces the complete set of per-run observables the paper's
+// evaluation reports: per-unit useful idleness, energy saving vs a
+// monolithic baseline, and — given an aging LUT — the cache lifetime.
+//
+// One driver: Simulator::run is the one-core case of
+// MultiCoreSystem::run (core/multicore.h) — a single core whose private
+// stack is L1 plus every enabled lower level, with no shared level.
+// Cadence, census, contention, clock checks, pricing and SimResult
+// assembly live there once.  A single-level run serves whole batches
+// through ManagedCache::access_batch; deeper stacks route one access at
+// a time.
 //
 // Timing: the driver runs on the latency-aware clock of core/timing.h.
 // Every access consumes one base cycle plus the stall its outcome
@@ -203,20 +211,15 @@ struct SimResult {
   std::size_t num_levels() const { return level_stats.size(); }
 };
 
-/// Streaming view of a run in flight, handed to the interval observer at
-/// every update boundary and once more after the run finishes.  Mid-run
-/// snapshots may read `stats` and `cache->cycles()`/`num_units()`;
-/// residency queries on `cache` are only valid when `final` is true (the
-/// backend has finished by then).
 /// Power-state census of one contiguous run of units at a snapshot
 /// boundary: which (core, level) the units belong to, where they sit in
 /// the engine's concatenated unit vector, and how many are awake /
-/// drowsy / gated right now.  The uniform shape across Simulator and
-/// MultiCoreSystem observers: a single-core run reports one group per
-/// hierarchy level with core == -1; a multi-core run reports every
-/// private level of every core plus the shared LLC (core == -1).
+/// drowsy / gated right now.  The driver reports every private level of
+/// every core (depth-major), then the shared LLC (core == -1).  A
+/// private level carries its core only when a shared level exists, so a
+/// Simulator run reports one group per hierarchy level with core == -1.
 struct UnitGroupStates {
-  int core = -1;               // owning core; -1 = single-run / shared LLC
+  int core = -1;               // owning core; -1 = no shared level / the LLC
   std::uint64_t level = 0;     // hierarchy depth (0 faces the CPU)
   std::uint64_t first_unit = 0;  // index of the group's first unit
   std::uint64_t units = 0;
@@ -227,6 +230,9 @@ struct UnitGroupStates {
   CacheStats stats;
 };
 
+/// Streaming view of a run in flight, handed to the interval observer at
+/// every update boundary and once more after the run finishes: the
+/// clock, the counters, core 0's L1 stats and the census.
 struct IntervalSnapshot {
   std::uint64_t interval = 0;  // 1-based boundary index; 0 on the final call
   std::uint64_t cycles = 0;
@@ -256,11 +262,10 @@ class Simulator {
  public:
   explicit Simulator(SimConfig config);
 
-  /// Runs the whole source (until exhaustion).  If `lut` is non-null the
-  /// result includes per-unit and cache lifetimes.  If `observer` is
-  /// non-null it is called at every re-indexing boundary (for static runs:
-  /// at a default cadence of 16 intervals when the source's size is known)
-  /// and once after the run completes.
+  /// Runs the whole source (until exhaustion) as a one-core
+  /// MultiCoreSystem with no shared level, fetching
+  /// SimConfig::batch_size accesses per batch; `lut` and `observer`
+  /// behave as in MultiCoreSystem::run.
   SimResult run(TraceSource& source, const AgingLut* lut = nullptr,
                 const IntervalObserver& observer = {}) const;
 

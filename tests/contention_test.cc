@@ -468,9 +468,9 @@ TEST(ContentionMultiCore, SharedLlcResourcesStallAndKeepTheIdentity) {
 
 TEST(ClockBound, HugeCycleParametersAreRefusedOnEveryPath) {
   // A config built directly, past RunAssembly's key bounds: one MSHR held
-  // 2^62 cycles used to run to total_cycles = 13835058055282163725 (past
-  // 2^63) with no error.  Every level topology now bounds its cycle
-  // parameters at 2^32, on the Simulator and on the 2-core path.
+  // 2^62 cycles would carry the clock past 2^63.  Every level topology
+  // bounds its cycle parameters at 2^32, on the Simulator and on the
+  // 2-core path.
   SimConfig wrapping = paper_config(8192, 16, 4);
   wrapping.contention.mshrs = 1;
   wrapping.contention.mshr_latency_cycles = std::uint64_t{1} << 62;
