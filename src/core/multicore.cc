@@ -204,7 +204,7 @@ MultiCoreResult MultiCoreSystem::run(
   }
 
   // One update: every core's chain per its flush plan, the shared LLC
-  // once (its own entry is the same in every plan: it rotates).
+  // once (its entry, whether it rotates, is the same in every plan).
   const auto fire_update = [&] {
     for (CoreRt& c : rt)
       for (std::size_t i = 0; i < depth; ++i)
