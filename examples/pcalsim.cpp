@@ -4,84 +4,32 @@
 // INI file (plus command-line overrides) and prints the full report:
 // idleness, energy breakdown, lifetime, cache statistics.
 //
-// Usage:
-//   pcalsim <config.ini> [section.key=value ...]
-//   pcalsim --example            # print an annotated example config
+// pcalsim is a thin front end over api::run: every INI key maps onto the
+// shared RunConfig vocabulary (core/run_assembly.h) and passes its value
+// on as the raw string, so values parse, validate and run exactly as in
+// pcalsweep and the Python module.  A section or key pcalsim does not
+// translate is refused with exit 1, naming it; so is any invalid value.
+// A trace:<path> workload replays at most workload.accesses records.
 //
-// Example config:
-//   [workload]
-//   name = rijndael_i        # a MediaBench name, or uniform/streaming/
-//                            # hotspot, or trace:<path>
-//   accesses = 2000000
-//   [cache]
-//   size = 8k
-//   line = 16
-//   ways = 1
-//   [partition]
-//   granularity = bank       # monolithic | bank | line | way
-//   banks = 4
-//   indexing = probing       # static | probing | scrambling
-//   updates = 16
-//   policy = gated           # gated | drowsy
-//   drowsy_window = 0        # extra idle cycles at the drowsy voltage
-//   [latency]                # stall cycles (0 = idealized clock)
-//   hit = 0
-//   miss = 0
-//   drowsy_wake = 0
-//   gated_wake = 0
-//   [contention]             # finite L1 resources (0 = unlimited; see
-//   mshrs = 0                # docs/CONTENTION.md)
-//   ports = 0                # access ports per bank
-//   bandwidth = 0            # fill bytes per cycle toward the next level
-//   mshr_latency = 32        # cycles an MSHR stays allocated per miss
-//   port_cycles = 1          # bank busy cycles per access
-//   [l2]                     # optional second level (size 0 = disabled)
-//   size = 0
-//   banks = 4
-//   granularity = bank
-//   breakeven = 64
-//   inclusion = noninclusive # noninclusive | inclusive | exclusive | victim
-//   hit_latency = 0
-//   miss_latency = 0
-//   mshrs = 0                # per-level resources ([contention] shapes L1)
-//   ports = 0
-//   bandwidth = 0
-//   [l3]                     # optional third level (same keys as [l2])
-//   size = 0
-//   [energy]                 # energy model preset (docs/ENERGY_MODEL.md)
-//   preset = paper           # paper | st45 (adds sleep-network costs)
-//   [multiprogram]           # optional: interleave several programs in
-//   programs = cjpeg+sha     # round-robin quanta (overrides [workload]
-//   quantum = 100000         # name); boundaries align re-indexing
-//   stride = 1m              # per-program address-space offset
-//   [multicore]              # optional: N copies of the stack above a
-//   cores = 0                # shared LLC (see docs/MULTICORE.md)
-//   llc_size = 64k           # required when cores > 0
-//   llc_ways = 8
-//   llc_banks = 4
-//   llc_breakeven = 64
-//   llc_ways_per_core = 0    # > 0 way-partitions the LLC per core
-//   llc_mshrs = 0            # finite shared-LLC resources (0 = unlimited)
-//   llc_ports = 0
-//   llc_bandwidth = 0
-//   [core1]                  # optional per-core workload override
-//   workload = streaming
+// Usage:
+//   pcalsim <config.ini> [section.key=value ...] [--timeline out.json]
+//   pcalsim --example            # print the annotated example config
+//
+// The --example text (kExampleConfig below) documents every section and
+// key; kIniKeys and translate() say where each one goes.
 #include <algorithm>
 #include <iostream>
-#include <memory>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/pcal.h"
 #include "api/timeline.h"
-#include "core/experiment.h"
-#include "core/multicore.h"
 #include "core/run_assembly.h"
-#include "trace/multiprogram.h"
-#include "trace/trace_io.h"
 #include "util/config_file.h"
 #include "util/error.h"
-#include "util/string_util.h"
 #include "util/table.h"
 
 namespace {
@@ -89,6 +37,11 @@ namespace {
 using namespace pcal;
 
 constexpr const char* kExampleConfig = R"(# pcalsim example configuration
+# Unknown sections and keys are refused.
+
+# name: a MediaBench name, uniform, streaming, hotspot, or trace:<path>
+# (.pct or text; replays at most `accesses` records).  Also takes
+# footprint (default 64k): the uniform/streaming/hotspot footprint.
 [workload]
 name = rijndael_i
 accesses = 2000000
@@ -98,6 +51,10 @@ size = 8k
 line = 16
 ways = 1
 
+# granularity: monolithic | bank | line | way; indexing: static |
+# probing | scrambling; policy: gated | drowsy, where drowsy_window is
+# the extra idle cycles at the drowsy voltage.  Also takes breakeven
+# (0, the default, derives it from the energy model).
 [partition]
 granularity = bank
 banks = 4
@@ -106,13 +63,16 @@ updates = 16
 policy = gated
 drowsy_window = 0
 
+# Stall cycles; all zero keeps the idealized clock.
 [latency]
 hit = 0
 miss = 0
 drowsy_wake = 0
 gated_wake = 0
 
-# Finite L1 resources, 0 = unlimited (docs/CONTENTION.md):
+# Finite L1 resources, 0 = unlimited (docs/CONTENTION.md): MSHRs, ports
+# per bank, fill bytes per cycle toward the next level, cycles an MSHR
+# stays allocated per miss, bank busy cycles per access.
 [contention]
 mshrs = 0
 ports = 0
@@ -120,6 +80,11 @@ bandwidth = 0
 mshr_latency = 32
 port_cycles = 1
 
+# Optional lower levels, size 0 = disabled.  inclusion: noninclusive |
+# inclusive | exclusive | victim.  Each level also takes line, ways,
+# indexing, policy, drowsy_window, drowsy_wake, gated_wake and its own
+# mshrs, ports and bandwidth.  A key [l3] leaves out takes the [l2]
+# default, not [l2]'s value.
 [l2]
 size = 0
 banks = 4
@@ -136,12 +101,17 @@ size = 0
 [energy]
 preset = paper
 
-# Interleave programs in round-robin quanta (overrides workload.name):
+# Interleave programs in round-robin quanta (overrides workload.name,
+# also on the cores of a [multicore] run); quantum boundaries align
+# re-indexing:
 # [multiprogram]
 # programs = cjpeg+sha
 # quantum = 100000
 
-# N cores of the stack above over a shared LLC (docs/MULTICORE.md):
+# N cores of the stack above over a shared LLC (docs/MULTICORE.md).
+# Also takes llc_ways, llc_banks, llc_breakeven, llc_mshrs, llc_ports,
+# llc_bandwidth and inclusion (the LLC's).  [core<k>] overrides the
+# workload of core k < cores:
 # [multicore]
 # cores = 2
 # llc_size = 64k
@@ -150,49 +120,116 @@ preset = paper
 # workload = streaming
 )";
 
-std::unique_ptr<TraceSource> make_named_source(const ConfigFile& cfg,
-                                               const std::string& name,
-                                               std::uint64_t accesses) {
-  const std::uint64_t footprint =
-      cfg.get_u64("workload", "footprint", 64 * 1024);
-  if (starts_with(name, "trace:"))
-    return std::make_unique<Trace>(load_trace_file(name.substr(6)));
-  if (starts_with(name, "multiprog:"))
-    return std::make_unique<MultiProgramSource>(
-        parse_multiprogram_spec(name.substr(10), footprint), accesses);
-  WorkloadSpec spec;
-  if (name == "uniform")
-    spec = make_uniform_workload(footprint);
-  else if (name == "streaming")
-    spec = make_streaming_workload(footprint);
-  else if (name == "hotspot")
-    spec = make_hotspot_workload(footprint);
-  else
-    spec = make_mediabench_workload(name);
-  return std::make_unique<SyntheticTraceSource>(spec, accesses);
-}
+/// The INI keys ("section.key") that map one-to-one onto a shared
+/// RunConfig key.  [l2] and [l3] keys map to l2_<key> / l3_<key>;
+/// [multiprogram] and [core<k>] are translated in translate().
+const std::map<std::string, std::string> kIniKeys = {
+    {"workload.name", "workload"}, {"workload.accesses", "accesses"},
+    {"workload.footprint", "footprint"}, {"cache.size", "cache_size"},
+    {"cache.line", "line_size"}, {"cache.ways", "ways"},
+    {"partition.granularity", "granularity"}, {"partition.banks", "banks"},
+    {"partition.indexing", "indexing"}, {"partition.updates", "updates"},
+    {"partition.breakeven", "breakeven"}, {"partition.policy", "policy"},
+    {"partition.drowsy_window", "drowsy_window"},
+    {"latency.hit", "hit_latency"}, {"latency.miss", "miss_latency"},
+    {"latency.drowsy_wake", "drowsy_wake"},
+    {"latency.gated_wake", "gated_wake"}, {"contention.mshrs", "mshrs"},
+    {"contention.ports", "ports"}, {"contention.bandwidth", "bandwidth"},
+    {"contention.mshr_latency", "mshr_latency"},
+    {"contention.port_cycles", "port_cycles"}, {"energy.preset", "energy"},
+    {"multicore.cores", "cores"}, {"multicore.inclusion", "llc_inclusion"},
+    {"multicore.llc_size", "llc_size"}, {"multicore.llc_ways", "llc_ways"},
+    {"multicore.llc_banks", "llc_banks"},
+    {"multicore.llc_breakeven", "llc_breakeven"},
+    {"multicore.llc_ways_per_core", "llc_ways_per_core"},
+    {"multicore.llc_mshrs", "llc_mshrs"},
+    {"multicore.llc_ports", "llc_ports"},
+    {"multicore.llc_bandwidth", "llc_bandwidth"},
+};
 
-std::unique_ptr<TraceSource> make_source(const ConfigFile& cfg,
-                                         std::uint64_t accesses) {
-  // A [multiprogram] section overrides the [workload] name with an
-  // interleaved multi-program stream; its quantum boundaries feed the
-  // simulator's context-switch-aligned re-indexing.
-  const std::string programs =
-      cfg.get_string("multiprogram", "programs", "");
-  if (!programs.empty()) {
-    std::string spec = programs;
-    std::replace(spec.begin(), spec.end(), ',', '+');
-    MultiProgramConfig mp = parse_multiprogram_spec(
-        spec, cfg.get_u64("workload", "footprint", 64 * 1024));
-    mp.quantum_accesses =
-        cfg.get_u64("multiprogram", "quantum", mp.quantum_accesses);
-    mp.address_stride =
-        cfg.get_u64("multiprogram", "stride", mp.address_stride);
-    mp.validate();
-    return std::make_unique<MultiProgramSource>(std::move(mp), accesses);
+/// Under the shared rule an [l3] key left out inherits [l2]'s value.
+/// pcalsim's [l3] does not: a key [l2] sets and [l3] leaves out takes
+/// the [l2] default instead, where geometry and wakeups follow L1.
+struct LevelDefault {
+  const char* key;
+  const char* value;
+  const char* l1_section = nullptr;  // the L1 key the value follows
+  const char* l1_key = nullptr;
+};
+
+const LevelDefault kLevelDefaults[] = {
+    {"line", "16", "cache", "line"},
+    {"ways", "1", "cache", "ways"},
+    {"drowsy_wake", "0", "latency", "drowsy_wake"},
+    {"gated_wake", "0", "latency", "gated_wake"},
+    {"granularity", "bank"}, {"banks", "4"}, {"indexing", "static"},
+    {"breakeven", "64"}, {"policy", "gated"}, {"drowsy_window", "0"},
+    {"hit_latency", "0"}, {"miss_latency", "0"}, {"mshrs", "0"},
+    {"ports", "0"}, {"bandwidth", "0"}, {"inclusion", "noninclusive"},
+};
+
+/// Maps the INI onto the shared RunConfig vocabulary, every value as its
+/// raw string.  Each section or key with no mapping is appended to
+/// `unknown`.
+api::RunConfig translate(const ConfigFile& ini,
+                         std::vector<api::ConfigIssue>& unknown) {
+  api::RunConfig rc;
+  // pcalsim's defaults where the shared ones differ.
+  rc.set("workload", "rijndael_i");
+  rc.set("cache_size", "8k");
+
+  // [core<k>] is accepted for every core k < multicore.cores; a
+  // malformed cores value is reported by validate() and bounds nothing.
+  std::uint64_t cores = 0;
+  if (const auto value = ini.get("multicore", "cores")) {
+    try {
+      cores = parse_config_number(*value, "cores");
+    } catch (const Error&) {
+      cores = UINT64_MAX;
+    }
   }
-  return make_named_source(
-      cfg, cfg.get_string("workload", "name", "rijndael_i"), accesses);
+
+  for (const auto& [section, keys] : ini.sections()) {
+    for (const auto& [key, value] : keys) {
+      const std::string name = section + "." + key;
+      const auto mapped = kIniKeys.find(name);
+      const int core = core_workload_index(section + "_" + key);
+      if (mapped != kIniKeys.end()) {
+        rc.set(mapped->second, value);
+      } else if ((section == "l2" || section == "l3") &&
+                 api::RunConfig::knows(section + "_" + key)) {
+        rc.set(section + "_" + key, value);
+      } else if (core >= 0) {
+        if (static_cast<std::uint64_t>(core) < cores)
+          rc.set(section + "_" + key, value);
+        else
+          unknown.push_back({name, value, "no such core (multicore.cores)"});
+      } else if (name != "multiprogram.programs" &&
+                 name != "multiprogram.quantum") {
+        unknown.push_back({name, value, "unknown pcalsim key"});
+      }
+    }
+  }
+
+  for (const LevelDefault& d : kLevelDefaults) {
+    if (!ini.get("l2", d.key) || ini.get("l3", d.key)) continue;
+    const auto l1 = d.l1_section ? ini.get(d.l1_section, d.l1_key)
+                                 : std::nullopt;
+    rc.set(std::string("l3_") + d.key, l1.value_or(d.value));
+  }
+
+  const auto programs = ini.get("multiprogram", "programs");
+  const auto quantum = ini.get("multiprogram", "quantum");
+  if (programs) {
+    std::string spec = "multiprog:" + *programs;
+    std::replace(spec.begin(), spec.end(), ',', '+');
+    if (quantum) spec += "@" + *quantum;
+    rc.set("workload", spec);
+  } else if (quantum) {
+    unknown.push_back({"multiprogram.quantum", *quantum,
+                       "needs multiprogram.programs"});
+  }
+  return rc;
 }
 
 std::string hex_mask(std::uint64_t mask) {
@@ -201,38 +238,15 @@ std::string hex_mask(std::uint64_t mask) {
   return os.str();
 }
 
-/// The [multicore] run path: N copies of the configured stack over a
-/// shared LLC, per-core workloads from [core<k>] sections.
-int run_multicore(const ConfigFile& cfg, MultiCoreConfig mc,
-                  std::uint64_t num_cores, std::uint64_t accesses,
-                  const std::string& timeline_path) {
-  const std::string default_name =
-      cfg.get_string("workload", "name", "rijndael_i");
-  std::vector<std::unique_ptr<TraceSource>> owned;
-  std::vector<TraceSource*> sources;
-  for (std::uint64_t k = 0; k < num_cores; ++k) {
-    const std::string name = cfg.get_string(
-        "core" + std::to_string(k), "workload", default_name);
-    owned.push_back(make_named_source(cfg, name, accesses));
-    sources.push_back(owned.back().get());
-  }
-
-  api::TimelineRecorder recorder;
-  IntervalObserver observer;
-  if (!timeline_path.empty()) {
-    recorder.price_with(mc);
-    observer = recorder.observer();
-  }
-
-  AgingContext aging;
-  const MultiCoreResult mr =
-      MultiCoreSystem(std::move(mc)).run(sources, &aging.lut(), observer);
-  const SimResult& r = mr.system;
-
-  std::cout << "pcalsim: " << r.workload << " on " << r.config_label
+/// The single-stream report: per-unit table, cache and level stats,
+/// energy breakdown, lifetime.
+void print_single(const SimResult& r) {
+  std::cout << "pcalsim: " << r.workload << " on " << r.config_label << "\n"
+            << "accesses: " << r.accesses
+            << ", breakeven: " << r.breakeven_cycles << " cycles"
+            << ", re-indexing updates: " << r.reindex_updates_applied
             << "\n"
-            << "accesses: " << r.accesses << ", cycles: " << r.total_cycles
-            << " total, " << r.stall_cycles
+            << "cycles: " << r.total_cycles << " total, " << r.stall_cycles
             << " stalled, avg access latency "
             << TextTable::num(r.avg_access_latency(), 3) << "\n";
   if (r.mshr_stall_cycles + r.port_stall_cycles + r.bw_stall_cycles > 0)
@@ -241,13 +255,70 @@ int run_multicore(const ConfigFile& cfg, MultiCoreConfig mc,
               << r.bw_stall_cycles << "\n";
   std::cout << "\n";
 
-  TextTable cores({"core", "workload", "accesses", "stalls", "L1 hit",
+  // At line granularity there are hundreds of units; cap the table.
+  const std::size_t shown = std::min<std::size_t>(r.units.size(), 32);
+  TextTable units({"unit", "accesses", "sleep residency",
+                   "idle intervals > BE", "sleep episodes",
+                   "lifetime (y)"});
+  for (std::size_t u = 0; u < shown; ++u) {
+    const UnitResult& ur = r.units[u];
+    units.add_row({std::to_string(u), std::to_string(ur.accesses),
+                   TextTable::pct(ur.sleep_residency, 2),
+                   TextTable::pct(ur.useful_idleness_count, 2),
+                   std::to_string(ur.sleep_episodes),
+                   TextTable::num(ur.lifetime_years, 3)});
+  }
+  units.render(std::cout);
+  if (shown < r.units.size())
+    std::cout << "... (" << r.units.size() - shown << " more units)\n";
+
+  std::cout << "\ncache: hit rate "
+            << TextTable::num(r.cache_stats.hit_rate(), 4) << " ("
+            << r.cache_stats.hits << " hits, " << r.cache_stats.misses
+            << " misses, " << r.cache_stats.writebacks << " writebacks, "
+            << r.cache_stats.flushes << " flushes)\n";
+  for (std::size_t lvl = 1; lvl < r.num_levels(); ++lvl) {
+    const CacheStats& s = r.level_stats[lvl];
+    std::cout << "L" << (lvl + 1) << ": hit rate "
+              << TextTable::num(s.hit_rate(), 4) << " (" << s.accesses
+              << " accesses, " << s.hits << " hits, " << s.misses
+              << " misses)\n";
+  }
+
+  const EnergyBreakdown& e = r.energy.partitioned;
+  std::cout << "energy (pJ): dynamic " << TextTable::num(e.dynamic_pj, 0)
+            << ", leakage active " << TextTable::num(e.leakage_active_pj, 0)
+            << ", leakage drowsy " << TextTable::num(e.leakage_drowsy_pj, 0)
+            << ", leakage gated/retention "
+            << TextTable::num(e.leakage_retention_pj, 0) << ", transitions "
+            << TextTable::num(e.transition_pj, 0) << "\n"
+            << "saving vs monolithic baseline: "
+            << TextTable::pct(r.energy_saving(), 2) << " %\n"
+            << "cache lifetime: " << TextTable::num(r.lifetime_years(), 3)
+            << " years (limiting bank "
+            << (r.lifetime ? r.lifetime->limiting_bank : 0) << ")\n";
+}
+
+/// The [multicore] report: system totals, one row per core, the shared
+/// LLC.
+void print_multicore(const SimResult& r,
+                     const std::vector<CoreResult>& cores) {
+  std::cout << "pcalsim: " << r.workload << " on " << r.config_label << "\n"
+            << "accesses: " << r.accesses << ", cycles: " << r.total_cycles
+            << " total, " << r.stall_cycles << " stalled, avg access latency "
+            << TextTable::num(r.avg_access_latency(), 3) << "\n";
+  if (r.mshr_stall_cycles + r.port_stall_cycles + r.bw_stall_cycles > 0)
+    std::cout << "contention stalls: mshr " << r.mshr_stall_cycles
+              << ", port " << r.port_stall_cycles << ", bandwidth "
+              << r.bw_stall_cycles << "\n";
+  std::cout << "\n";
+
+  TextTable table({"core", "workload", "accesses", "stalls", "L1 hit",
                    "LLC acc", "LLC hit", "way mask", "energy (pJ)",
                    "idleness"});
-  for (std::size_t k = 0; k < mr.cores.size(); ++k) {
-    const CoreResult& c = mr.cores[k];
-    cores.add_row({std::to_string(k), c.workload,
-                   std::to_string(c.accesses),
+  for (std::size_t k = 0; k < cores.size(); ++k) {
+    const CoreResult& c = cores[k];
+    table.add_row({std::to_string(k), c.workload, std::to_string(c.accesses),
                    std::to_string(c.stall_cycles),
                    TextTable::num(c.l1_hit_rate(), 4),
                    std::to_string(c.llc_stats.accesses),
@@ -256,7 +327,7 @@ int run_multicore(const ConfigFile& cfg, MultiCoreConfig mc,
                    TextTable::num(c.energy.partitioned.total_pj(), 0),
                    TextTable::pct(c.avg_residency, 2)});
   }
-  cores.render(std::cout);
+  table.render(std::cout);
 
   const CacheStats& llc_stats = r.level_stats.back();
   const EnergyBreakdown& e = r.energy.partitioned;
@@ -269,13 +340,6 @@ int run_multicore(const ConfigFile& cfg, MultiCoreConfig mc,
             << "system idleness: " << TextTable::pct(r.avg_residency(), 2)
             << " %, lifetime " << TextTable::num(r.lifetime_years(), 3)
             << " years\n";
-
-  if (!timeline_path.empty()) {
-    recorder.set_run_label(r.workload + " on " + r.config_label);
-    recorder.write_json_file(timeline_path);
-    std::cerr << "pcalsim: timeline written to " << timeline_path << "\n";
-  }
-  return 0;
 }
 
 }  // namespace
@@ -309,208 +373,37 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    ConfigFile cfg = ConfigFile::load(args[0]);
+    ConfigFile ini = ConfigFile::load(args[0]);
     for (std::size_t i = 1; i < args.size(); ++i)
-      cfg.apply_override(args[i]);
+      ini.apply_override(args[i]);
 
-    // Translate the INI sections into the shared key -> config path
-    // (core/run_assembly.h) pcalsweep and the api facade use.  Every
-    // value is passed explicitly with pcalsim's own ConfigFile default,
-    // so pcalsim keeps its documented defaults (an [l3] does NOT
-    // inherit [l2] here) while the application/validation code is the
-    // shared one.  Staged through api::RunConfig so validation reports
-    // every problem at once, not just the first.
-    api::RunConfig rc;
-    const auto set_num = [&](const std::string& key, std::uint64_t v) {
-      rc.set(key, std::to_string(v));
-    };
-    rc.set("granularity",
-           cfg.get_string("partition", "granularity", "bank"));
-    set_num("cache_size", cfg.get_u64("cache", "size", 8192));
-    set_num("line_size", cfg.get_u64("cache", "line", 16));
-    set_num("ways", cfg.get_u64("cache", "ways", 1));
-    set_num("banks", cfg.get_u64("partition", "banks", 4));
-    rc.set("indexing", cfg.get_string("partition", "indexing", "probing"));
-    set_num("updates", cfg.get_u64("partition", "updates", 16));
-    // 0 = derive the breakeven from the energy model; line-grain sleep
-    // hardware usually wants an explicit value (e.g. 28).
-    set_num("breakeven", cfg.get_u64("partition", "breakeven", 0));
-    rc.set("policy", cfg.get_string("partition", "policy", "gated"));
-    set_num("drowsy_window", cfg.get_u64("partition", "drowsy_window", 0));
-    // The L1 latency point; all-zero (the default) keeps the idealized
-    // one-access-per-cycle clock.  Wakeup latencies are shared by every
-    // level unless a level overrides them.
-    set_num("hit_latency", cfg.get_u64("latency", "hit", 0));
-    set_num("miss_latency", cfg.get_u64("latency", "miss", 0));
-    set_num("drowsy_wake", cfg.get_u64("latency", "drowsy_wake", 0));
-    set_num("gated_wake", cfg.get_u64("latency", "gated_wake", 0));
-    // Finite L1 resources (core/contention.h); all-zero limits keep the
-    // run bit-identical to a config without a [contention] section.
-    set_num("mshrs", cfg.get_u64("contention", "mshrs", 0));
-    set_num("ports", cfg.get_u64("contention", "ports", 0));
-    set_num("bandwidth", cfg.get_u64("contention", "bandwidth", 0));
-    set_num("mshr_latency", cfg.get_u64("contention", "mshr_latency", 32));
-    set_num("port_cycles", cfg.get_u64("contention", "port_cycles", 1));
-    // Optional lower levels: [l2] / [l3], size = 0 disables a level.
-    for (const std::string section : {"l2", "l3"}) {
-      if (cfg.get_u64(section, "size", 0) == 0) continue;
-      const std::string p = section + "_";
-      const auto lvl_num = [&](const char* key, std::uint64_t v) {
-        rc.set(p + key, std::to_string(v));
-      };
-      lvl_num("size", cfg.get_u64(section, "size", 0));
-      rc.set(p + "inclusion",
-             cfg.get_string(section, "inclusion", "noninclusive"));
-      // Geometry and wakeup latencies default to the L1 values staged
-      // above (the documented make_level inheritance).
-      lvl_num("line",
-              cfg.get_u64(section, "line", cfg.get_u64("cache", "line", 16)));
-      lvl_num("ways",
-              cfg.get_u64(section, "ways", cfg.get_u64("cache", "ways", 1)));
-      rc.set(p + "granularity",
-             cfg.get_string(section, "granularity", "bank"));
-      lvl_num("banks", cfg.get_u64(section, "banks", 4));
-      rc.set(p + "indexing", cfg.get_string(section, "indexing", "static"));
-      lvl_num("breakeven", cfg.get_u64(section, "breakeven", 64));
-      rc.set(p + "policy", cfg.get_string(section, "policy", "gated"));
-      lvl_num("drowsy_window", cfg.get_u64(section, "drowsy_window", 0));
-      lvl_num("hit_latency", cfg.get_u64(section, "hit_latency", 0));
-      lvl_num("miss_latency", cfg.get_u64(section, "miss_latency", 0));
-      lvl_num("drowsy_wake",
-              cfg.get_u64(section, "drowsy_wake",
-                          cfg.get_u64("latency", "drowsy_wake", 0)));
-      lvl_num("gated_wake",
-              cfg.get_u64(section, "gated_wake",
-                          cfg.get_u64("latency", "gated_wake", 0)));
-      // Per-level resource limits; the timing scalars are shared with
-      // the [contention] section (one resource technology).
-      lvl_num("mshrs", cfg.get_u64(section, "mshrs", 0));
-      lvl_num("ports", cfg.get_u64(section, "ports", 0));
-      lvl_num("bandwidth", cfg.get_u64(section, "bandwidth", 0));
-    }
-
-    rc.set("energy", cfg.get_string("energy", "preset", "paper"));
-
-    const std::uint64_t accesses =
-        cfg.get_u64("workload", "accesses", 2'000'000);
-    set_num("accesses", accesses);
-
-    const std::uint64_t num_cores = cfg.get_u64("multicore", "cores", 0);
-    if (num_cores > 0) {
-      set_num("cores", num_cores);
-      set_num("llc_size", cfg.get_u64("multicore", "llc_size", 0));
-      rc.set("llc_inclusion",
-             cfg.get_string("multicore", "inclusion", "noninclusive"));
-      set_num("llc_ways", cfg.get_u64("multicore", "llc_ways", 8));
-      set_num("llc_banks", cfg.get_u64("multicore", "llc_banks", 4));
-      set_num("llc_breakeven",
-              cfg.get_u64("multicore", "llc_breakeven", 64));
-      set_num("llc_ways_per_core",
-              cfg.get_u64("multicore", "llc_ways_per_core", 0));
-      set_num("llc_mshrs", cfg.get_u64("multicore", "llc_mshrs", 0));
-      set_num("llc_ports", cfg.get_u64("multicore", "llc_ports", 0));
-      set_num("llc_bandwidth",
-              cfg.get_u64("multicore", "llc_bandwidth", 0));
-    }
-
-    // Structured pre-flight: every bad key/value and every invalid
-    // combination reported at once (api::RunConfig::validate), instead
-    // of failing on the first.
-    const std::vector<api::ConfigIssue> issues = rc.validate();
+    // Structured pre-flight: every unknown key, bad value and invalid
+    // combination reported at once.
+    std::vector<api::ConfigIssue> issues;
+    const api::RunConfig rc = translate(ini, issues);
+    for (api::ConfigIssue& issue : rc.validate())
+      issues.push_back(std::move(issue));
     if (!issues.empty()) {
-      std::cerr << "pcalsim: invalid configuration:\n";
-      for (const api::ConfigIssue& issue : issues) {
-        std::cerr << "  ";
-        if (!issue.key.empty())
-          std::cerr << issue.key << " = " << issue.value << ": ";
-        std::cerr << issue.reason << "\n";
-      }
+      std::cerr << "pcalsim: invalid configuration:\n"
+                << api::describe(issues) << "\n";
       return 1;
     }
 
-    RunAssembly asmb;
-    for (const auto& [key, value] : rc.entries()) asmb.set(key, value);
-    RunAssembly::Assembled assembled = asmb.assemble();
-    if (assembled.multicore)
-      return run_multicore(cfg, std::move(*assembled.multicore), num_cores,
-                           accesses, timeline_path);
-    const SimConfig& sim = assembled.config;
-
-    auto source = make_source(cfg, accesses);
-
     api::TimelineRecorder recorder;
-    IntervalObserver observer;
+    api::RunOptions options;
     if (!timeline_path.empty()) {
-      recorder.price_with(sim);
-      observer = recorder.observer();
+      recorder.price_with(rc);
+      options.observer = recorder.observer();
     }
-
-    AgingContext aging;
-    const SimResult r = Simulator(sim).run(*source, &aging.lut(), observer);
-
-    std::cout << "pcalsim: " << r.workload << " on " << r.config_label
-              << "\n"
-              << "accesses: " << r.accesses
-              << ", breakeven: " << r.breakeven_cycles << " cycles"
-              << ", re-indexing updates: " << r.reindex_updates_applied
-              << "\n"
-              << "cycles: " << r.total_cycles << " total, "
-              << r.stall_cycles << " stalled, avg access latency "
-              << TextTable::num(r.avg_access_latency(), 3) << "\n";
-    if (r.mshr_stall_cycles + r.port_stall_cycles + r.bw_stall_cycles > 0)
-      std::cout << "contention stalls: mshr " << r.mshr_stall_cycles
-                << ", port " << r.port_stall_cycles << ", bandwidth "
-                << r.bw_stall_cycles << "\n";
-    std::cout << "\n";
-
-    // At line granularity there are hundreds of units; cap the table.
-    const std::size_t shown = std::min<std::size_t>(r.units.size(), 32);
-    TextTable units({"unit", "accesses", "sleep residency",
-                     "idle intervals > BE", "sleep episodes",
-                     "lifetime (y)"});
-    for (std::size_t u = 0; u < shown; ++u) {
-      const UnitResult& ur = r.units[u];
-      units.add_row({std::to_string(u), std::to_string(ur.accesses),
-                     TextTable::pct(ur.sleep_residency, 2),
-                     TextTable::pct(ur.useful_idleness_count, 2),
-                     std::to_string(ur.sleep_episodes),
-                     TextTable::num(ur.lifetime_years, 3)});
-    }
-    units.render(std::cout);
-    if (shown < r.units.size())
-      std::cout << "... (" << r.units.size() - shown << " more units)\n";
-
-    std::cout << "\ncache: hit rate "
-              << TextTable::num(r.cache_stats.hit_rate(), 4) << " ("
-              << r.cache_stats.hits << " hits, " << r.cache_stats.misses
-              << " misses, " << r.cache_stats.writebacks
-              << " writebacks, " << r.cache_stats.flushes << " flushes)\n";
-    for (std::size_t lvl = 1; lvl < r.num_levels(); ++lvl) {
-      const CacheStats& s = r.level_stats[lvl];
-      std::cout << "L" << (lvl + 1) << ": hit rate "
-                << TextTable::num(s.hit_rate(), 4) << " (" << s.accesses
-                << " accesses, " << s.hits << " hits, " << s.misses
-                << " misses)\n";
-    }
-
-    const EnergyBreakdown& e = r.energy.partitioned;
-    std::cout << "energy (pJ): dynamic " << TextTable::num(e.dynamic_pj, 0)
-              << ", leakage active "
-              << TextTable::num(e.leakage_active_pj, 0)
-              << ", leakage drowsy "
-              << TextTable::num(e.leakage_drowsy_pj, 0)
-              << ", leakage gated/retention "
-              << TextTable::num(e.leakage_retention_pj, 0)
-              << ", transitions " << TextTable::num(e.transition_pj, 0)
-              << "\n"
-              << "saving vs monolithic baseline: "
-              << TextTable::pct(r.energy_saving(), 2) << " %\n"
-              << "cache lifetime: " << TextTable::num(r.lifetime_years(), 3)
-              << " years (limiting bank "
-              << (r.lifetime ? r.lifetime->limiting_bank : 0) << ")\n";
+    const api::RunOutput out = api::run(rc, options);
+    if (out.cores.empty())
+      print_single(out.result);
+    else
+      print_multicore(out.result, out.cores);
 
     if (!timeline_path.empty()) {
-      recorder.set_run_label(r.workload + " on " + r.config_label);
+      recorder.set_run_label(out.result.workload + " on " +
+                             out.result.config_label);
       recorder.write_json_file(timeline_path);
       std::cerr << "pcalsim: timeline written to " << timeline_path << "\n";
     }

@@ -5,9 +5,9 @@
 // shares (core/run_assembly.h): a RunConfig is an ordered bag of entries,
 // validate() turns mistakes into structured ConfigIssue records instead
 // of exceptions (every problem reported, not just the first), run()
-// executes one configuration through the same Simulator/MultiCoreSystem
-// path pcalsim takes, and run_grid() executes a declarative sweep spec
-// through the same GridSpec + SweepRunner path pcalsweep takes —
+// executes one configuration (pcalsim is an INI front end over it), and
+// run_grid() executes a declarative sweep spec through the same
+// GridSpec + SweepRunner path pcalsweep takes —
 // GridRun::result_row() reproduces pcalsweep's BENCH JSON result rows
 // byte for byte, which is what the bindings' parity tests pin.
 //

@@ -4,7 +4,9 @@
 #include <ostream>
 #include <utility>
 
+#include "api/pcal.h"
 #include "core/bench_record.h"
+#include "core/run_assembly.h"
 #include "util/error.h"
 
 namespace pcal::api {
@@ -39,6 +41,16 @@ void TimelineRecorder::price_with(const MultiCoreConfig& config) {
                            core.levels[d].topology);
   models_.emplace_back(config.energy_params, config.tech,
                        config.llc.topology);
+}
+
+void TimelineRecorder::price_with(const RunConfig& config) {
+  RunAssembly asmb;
+  for (const auto& [key, value] : config.entries()) asmb.set(key, value);
+  RunAssembly::Assembled assembled = asmb.assemble();
+  if (assembled.multicore)
+    price_with(*assembled.multicore);
+  else
+    price_with(assembled.config);
 }
 
 void TimelineRecorder::record(const IntervalSnapshot& snap) {

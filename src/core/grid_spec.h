@@ -29,7 +29,7 @@
 // (rows axis × columns axis × metric cells, mean-reduced over the
 // remaining axes, with optional [paper] reference columns), which is how
 // the shipped examples/*.sweep files regenerate the paper tables —
-// examples/table4.sweep reproduces bench_table4_banks byte for byte.
+// examples/table4.sweep is the only source of Table IV.
 // Without [table], render_table() lists one row per job.
 //
 // Parsing is strict where ConfigFile is lenient: unknown sections,

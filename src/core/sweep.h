@@ -202,9 +202,9 @@ struct SweepStats {
 /// returned vector is bit-identical to a serial run regardless of thread
 /// count, stealing order, or scheduling — pinned by sweep_test (1/2/8
 /// threads), the backend_parity_test degeneracy suite (1 and 8 threads),
-/// and CI's 1-vs-8-worker diffs of the table4 and drowsy_comparison
-/// grids.  Only SweepStats (wall clock, steal counts) may differ between
-/// runs.
+/// golden_corpus_test's 1-vs-8-worker runs of every shipped spec, and
+/// CI's 1-vs-8-worker diff of the drowsy_comparison grid.  Only
+/// SweepStats (wall clock, steal counts) may differ between runs.
 class SweepRunner {
  public:
   /// `num_threads == 0` picks default_threads().

@@ -1,6 +1,8 @@
 #include "trace/multiprogram.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -39,10 +41,12 @@ std::uint64_t parse_quantum(const std::string& text) {
   for (char c : digits)
     PCAL_CONFIG_CHECK(c >= '0' && c <= '9',
                       "bad multiprog quantum \"" << text << "\"");
-  const std::uint64_t value =
-      std::strtoull(digits.c_str(), nullptr, 10) * scale;
+  errno = 0;
+  const std::uint64_t value = std::strtoull(digits.c_str(), nullptr, 10);
+  PCAL_CONFIG_CHECK(errno != ERANGE && value <= UINT64_MAX / scale,
+                    "multiprog quantum \"" << text << "\" overflows 64 bits");
   PCAL_CONFIG_CHECK(value > 0, "multiprog quantum must be nonzero");
-  return value;
+  return value * scale;
 }
 
 }  // namespace

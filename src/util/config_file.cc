@@ -44,12 +44,6 @@ ConfigFile ConfigFile::load(const std::string& path) {
   return parse(f);
 }
 
-bool ConfigFile::has(const std::string& section,
-                     const std::string& key) const {
-  const auto s = values_.find(section);
-  return s != values_.end() && s->second.count(key) > 0;
-}
-
 std::optional<std::string> ConfigFile::get(const std::string& section,
                                            const std::string& key) const {
   const auto s = values_.find(section);
@@ -59,80 +53,14 @@ std::optional<std::string> ConfigFile::get(const std::string& section,
   return k->second;
 }
 
-std::string ConfigFile::get_string(const std::string& section,
-                                   const std::string& key,
-                                   const std::string& fallback) const {
-  return get(section, key).value_or(fallback);
-}
-
-std::uint64_t ConfigFile::get_u64(const std::string& section,
-                                  const std::string& key,
-                                  std::uint64_t fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t out = std::stoull(*v, &consumed, 0);
-    // Allow a trailing k/M multiplier (e.g. "8k" bytes).
-    if (consumed == v->size()) return out;
-    if (consumed + 1 == v->size()) {
-      const char suffix = (*v)[consumed];
-      if (suffix == 'k' || suffix == 'K') return out * 1024;
-      if (suffix == 'm' || suffix == 'M') return out * 1024 * 1024;
-    }
-  } catch (const std::exception&) {
-  }
-  throw ParseError("config value [" + section + "]." + key + " = '" + *v +
-                   "' is not an integer");
-}
-
-double ConfigFile::get_double(const std::string& section,
-                              const std::string& key,
-                              double fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const double out = std::stod(*v, &consumed);
-    if (consumed == v->size()) return out;
-  } catch (const std::exception&) {
-  }
-  throw ParseError("config value [" + section + "]." + key + " = '" + *v +
-                   "' is not a number");
-}
-
-bool ConfigFile::get_bool(const std::string& section, const std::string& key,
-                          bool fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  const std::string lower = to_lower(*v);
-  if (lower == "true" || lower == "1" || lower == "yes" || lower == "on")
-    return true;
-  if (lower == "false" || lower == "0" || lower == "no" || lower == "off")
-    return false;
-  throw ParseError("config value [" + section + "]." + key + " = '" + *v +
-                   "' is not a boolean");
-}
-
-void ConfigFile::set(const std::string& section, const std::string& key,
-                     const std::string& value) {
-  values_[section][key] = value;
-}
-
 void ConfigFile::apply_override(const std::string& spec) {
   const std::size_t eq = spec.find('=');
   const std::size_t dot = spec.find('.');
   if (eq == std::string::npos || dot == std::string::npos || dot > eq)
     throw ParseError("override must look like section.key=value: " + spec);
-  set(std::string(trim(spec.substr(0, dot))),
-      std::string(trim(spec.substr(dot + 1, eq - dot - 1))),
-      std::string(trim(spec.substr(eq + 1))));
-}
-
-std::size_t ConfigFile::size() const {
-  std::size_t n = 0;
-  for (const auto& [s, kv] : values_) n += kv.size();
-  return n;
+  values_[std::string(trim(spec.substr(0, dot)))]
+         [std::string(trim(spec.substr(dot + 1, eq - dot - 1)))] =
+             std::string(trim(spec.substr(eq + 1)));
 }
 
 }  // namespace pcal

@@ -2,10 +2,10 @@
 //
 // Format: `[section]` headers, `key = value` pairs, `#` or `;` comments,
 // blank lines ignored.  Keys are unique per section (later duplicates
-// overwrite).  Typed getters validate and fall back to defaults.
+// overwrite).  Values stay raw strings: the front end that reads them
+// owns their meaning and their parsing.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -21,30 +21,19 @@ class ConfigFile {
   /// Loads from a path; throws ParseError if unreadable.
   static ConfigFile load(const std::string& path);
 
-  bool has(const std::string& section, const std::string& key) const;
-
   /// Raw string access; nullopt if absent.
   std::optional<std::string> get(const std::string& section,
                                  const std::string& key) const;
 
-  std::string get_string(const std::string& section, const std::string& key,
-                         const std::string& fallback) const;
-  std::uint64_t get_u64(const std::string& section, const std::string& key,
-                        std::uint64_t fallback) const;
-  double get_double(const std::string& section, const std::string& key,
-                    double fallback) const;
-  bool get_bool(const std::string& section, const std::string& key,
-                bool fallback) const;
+  /// Every value, as section -> key -> raw string, both levels sorted.
+  const std::map<std::string, std::map<std::string, std::string>>&
+  sections() const {
+    return values_;
+  }
 
-  /// Sets/overrides a value (used for command-line overrides
-  /// "section.key=value").
-  void set(const std::string& section, const std::string& key,
-           const std::string& value);
-
-  /// Applies an override of the form "section.key=value".
+  /// Sets or overrides one value from "section.key=value" (the
+  /// command-line override form).
   void apply_override(const std::string& spec);
-
-  std::size_t size() const;
 
  private:
   // section -> key -> value

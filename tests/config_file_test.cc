@@ -24,39 +24,13 @@ TEST(ConfigFile, ParsesSectionsAndPairs) {
       "; another comment\n"
       "[partition]\n"
       "  banks  =  4  \n");
-  EXPECT_EQ(cfg.size(), 3u);
-  EXPECT_TRUE(cfg.has("cache", "size"));
-  EXPECT_EQ(cfg.get_string("cache", "size", ""), "8k");
-  EXPECT_EQ(cfg.get_u64("cache", "line", 0), 16u);
-  EXPECT_EQ(cfg.get_u64("partition", "banks", 0), 4u);
-  EXPECT_FALSE(cfg.has("cache", "banks"));
-}
-
-TEST(ConfigFile, SizeSuffixes) {
-  const ConfigFile cfg = parse("[c]\na = 8k\nb = 2M\nc = 0x10\n");
-  EXPECT_EQ(cfg.get_u64("c", "a", 0), 8192u);
-  EXPECT_EQ(cfg.get_u64("c", "b", 0), 2u * 1024 * 1024);
-  EXPECT_EQ(cfg.get_u64("c", "c", 0), 16u);
-}
-
-TEST(ConfigFile, Defaults) {
-  const ConfigFile cfg = parse("[s]\nk = v\n");
-  EXPECT_EQ(cfg.get_string("s", "missing", "dflt"), "dflt");
-  EXPECT_EQ(cfg.get_u64("s", "missing", 7), 7u);
-  EXPECT_DOUBLE_EQ(cfg.get_double("s", "missing", 1.5), 1.5);
-  EXPECT_TRUE(cfg.get_bool("s", "missing", true));
-}
-
-TEST(ConfigFile, TypedParsing) {
-  const ConfigFile cfg = parse(
-      "[t]\nd = 0.25\nb1 = true\nb2 = off\nb3 = 1\nbad = zzz\n");
-  EXPECT_DOUBLE_EQ(cfg.get_double("t", "d", 0.0), 0.25);
-  EXPECT_TRUE(cfg.get_bool("t", "b1", false));
-  EXPECT_FALSE(cfg.get_bool("t", "b2", true));
-  EXPECT_TRUE(cfg.get_bool("t", "b3", false));
-  EXPECT_THROW(cfg.get_u64("t", "bad", 0), ParseError);
-  EXPECT_THROW(cfg.get_double("t", "bad", 0.0), ParseError);
-  EXPECT_THROW(cfg.get_bool("t", "bad", false), ParseError);
+  ASSERT_EQ(cfg.sections().size(), 2u);
+  EXPECT_EQ(cfg.sections().at("cache").size(), 2u);
+  EXPECT_EQ(cfg.get("cache", "size"), "8k");
+  EXPECT_EQ(cfg.get("cache", "line"), "16");
+  EXPECT_EQ(cfg.get("partition", "banks"), "4");
+  EXPECT_FALSE(cfg.get("cache", "banks"));
+  EXPECT_FALSE(cfg.get("missing", "size"));
 }
 
 TEST(ConfigFile, MalformedInput) {
@@ -67,22 +41,22 @@ TEST(ConfigFile, MalformedInput) {
 
 TEST(ConfigFile, LaterDuplicateWins) {
   const ConfigFile cfg = parse("[s]\nk = 1\nk = 2\n");
-  EXPECT_EQ(cfg.get_u64("s", "k", 0), 2u);
+  EXPECT_EQ(cfg.get("s", "k"), "2");
 }
 
 TEST(ConfigFile, Overrides) {
   ConfigFile cfg = parse("[cache]\nsize = 8k\n");
   cfg.apply_override("cache.size=16k");
-  EXPECT_EQ(cfg.get_u64("cache", "size", 0), 16384u);
+  EXPECT_EQ(cfg.get("cache", "size"), "16k");
   cfg.apply_override("partition.banks = 8");
-  EXPECT_EQ(cfg.get_u64("partition", "banks", 0), 8u);
+  EXPECT_EQ(cfg.get("partition", "banks"), "8");
   EXPECT_THROW(cfg.apply_override("no-dot=1"), ParseError);
   EXPECT_THROW(cfg.apply_override("a.b"), ParseError);
 }
 
 TEST(ConfigFile, KeysOutsideSectionsLandInEmptySection) {
   const ConfigFile cfg = parse("global = 1\n[s]\nk = 2\n");
-  EXPECT_EQ(cfg.get_u64("", "global", 0), 1u);
+  EXPECT_EQ(cfg.get("", "global"), "1");
 }
 
 TEST(ConfigFile, MissingFileThrows) {

@@ -424,31 +424,6 @@ TEST(ContentionSweep, RepeatedPoolRunsAreBitIdentical) {
 
 // ---- multi-core integration ----
 
-TEST(ContentionMultiCore, OneCoreDegeneracyHoldsWithContentionOn) {
-  // A 1-core system over an unpartitioned LLC is the Simulator with the
-  // LLC appended — the seed degeneracy — and that must survive finite
-  // resources on both the private level and the LLC.
-  SimConfig cfg = paper_config(8192, 16, 4);
-  cfg.contention = tight_params();
-  LevelConfig llc = cfg.make_level(64 * 1024);
-  llc.topology.contention = tight_params();
-  const MultiCoreConfig mc = make_multicore(cfg, 1, llc);
-
-  SimConfig single = cfg;
-  single.lower_levels.push_back(llc);
-
-  const WorkloadSpec spec = make_streaming_workload(64 * 1024);
-  SyntheticTraceSource a(spec, kAccesses), b(spec, kAccesses);
-  const MultiCoreResult mr = MultiCoreSystem(mc).run({&a});
-  const SimResult sr = Simulator(single).run(b);
-  EXPECT_EQ(mr.system.total_cycles, sr.total_cycles);
-  EXPECT_EQ(mr.system.stall_cycles, sr.stall_cycles);
-  EXPECT_EQ(mr.system.mshr_stall_cycles, sr.mshr_stall_cycles);
-  EXPECT_EQ(mr.system.port_stall_cycles, sr.port_stall_cycles);
-  EXPECT_EQ(mr.system.bw_stall_cycles, sr.bw_stall_cycles);
-  EXPECT_EQ(mr.system.cache_stats.hits, sr.cache_stats.hits);
-}
-
 TEST(ContentionMultiCore, SharedLlcResourcesStallAndKeepTheIdentity) {
   SimConfig cfg = paper_config(8192, 16, 4);
   LevelConfig llc = cfg.make_level(64 * 1024);

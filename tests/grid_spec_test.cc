@@ -790,8 +790,8 @@ TEST(GridSpecTable, MalformedTableRejected) {
 }
 
 // End-to-end: a small grid through the SweepRunner renders the same
-// pivot at any worker count (the CLI-level determinism CI re-checks on
-// the full table4 grid).
+// pivot at any worker count (the CLI-level determinism
+// golden_corpus_test re-checks on every shipped spec).
 TEST(GridSpecRun, PivotTableIsThreadCountInvariant) {
   const GridSpec spec = parse(R"(
 [grid]

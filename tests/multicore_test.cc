@@ -4,8 +4,8 @@
 //      reproduces the single-stream Simulator — whose config is the
 //      core's levels with the LLC appended — bit for bit (cycles, label,
 //      per-unit stats, energy, lifetime, contention stalls, the update
-//      positions and the final census), on a plain, a multiprogrammed
-//      and a contended timed stream;
+//      positions and the final census), on a plain, a multiprogrammed,
+//      a contended timed and a port-bound streaming stream;
 //   2. scheduling independence: identical multi-core SweepJobs produce
 //      identical outcomes on the SweepRunner pool (CMake registers this
 //      binary at the default width, PCAL_SWEEP_THREADS=1 and =8);
@@ -186,6 +186,23 @@ TEST(MultiCore, OneCoreUnpartitionedEqualsSimulator) {
     timed_llc.topology.contention.bytes_per_cycle = 2;
     expect_one_core_identity(timed, timed_llc,
                              [] { return source_for("cjpeg", 100'000); });
+  }
+  {
+    // Port holds on both levels: one port per bank busy two cycles per
+    // access, MSHRs held 24 cycles, on a streaming source.
+    SCOPED_TRACE("ports and MSHR holds, streaming");
+    ContentionParams tight;
+    tight.mshrs = 2;
+    tight.mshr_latency_cycles = 24;
+    tight.ports = 1;
+    tight.port_cycles = 2;
+    tight.bytes_per_cycle = 4;
+    SimConfig ported = base;
+    ported.contention = tight;
+    LevelConfig ported_llc = make_llc(ported);
+    ported_llc.topology.contention = tight;
+    expect_one_core_identity(ported, ported_llc,
+                             [] { return source_for("streaming"); });
   }
 }
 

@@ -114,6 +114,15 @@ TEST(MultiProgram, ParseSpec) {
   EXPECT_THROW(parse_multiprogram_spec("sha+nosuch", 1024), ConfigError);
   EXPECT_THROW(parse_multiprogram_spec("sha+cjpeg@0", 1024), ConfigError);
   EXPECT_THROW(parse_multiprogram_spec("sha+cjpeg@x", 1024), ConfigError);
+  // A quantum past 64 bits is refused, not wrapped: (2^54 + 1)k would
+  // wrap to exactly 1k.
+  EXPECT_THROW(parse_multiprogram_spec("sha+cjpeg@18014398509481985k", 1024),
+               ConfigError);
+  EXPECT_THROW(parse_multiprogram_spec("sha+cjpeg@18446744073709551616", 1024),
+               ConfigError);
+  EXPECT_EQ(parse_multiprogram_spec("sha+cjpeg@9007199254740992k", 1024)
+                .quantum_accesses,
+            std::uint64_t{1} << 63);
 }
 
 TEST(MultiProgram, QuantumAlignedReindexing) {
