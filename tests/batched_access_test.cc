@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/timeline.h"
+#include "core/enum_strings.h"
 #include "core/hierarchy.h"
 #include "core/managed_cache.h"
 #include "core/simulator.h"
@@ -157,8 +158,8 @@ TEST(BatchedSimulatorEquivalence, StaticIndexingObserverCadence) {
 }
 
 TEST(BatchedSimulatorEquivalence, HierarchyTakesDefaultBatchPath) {
-  // A two-level stack has no batched override — the inherited default
-  // must replay the routed per-access path unchanged.
+  // A two-level stack routes through the driver's hit-run body; at
+  // every batch size it must reproduce the per-access driver.
   SimConfig cfg = base_config(Granularity::kBank, PowerPolicy::kGated, 0);
   cfg = two_level_variant(cfg, 32 * 1024);
   const RunArtifacts scalar = run_once(cfg, 40000, 1);
@@ -353,6 +354,122 @@ TEST(AccessBatchEquivalence, UpdateIndexingBetweenBatches) {
       EXPECT_EQ(scalar->update_indexing(), batched->update_indexing());
     }
     EXPECT_EQ(scalar->cycles(), batched->cycles());
+  }
+}
+
+// ---- HierarchicalCache::access_batch vs a per-access loop ----
+
+/// An L1 + L2 (+ L3) stack on a timed clock: every lower level is tied
+/// to the one above by `inclusion`, the L2 rotates (so updates flush it,
+/// and an inclusive L2 cascades the flush into L1), the L3 is static.
+HierarchyConfig stack_of(InclusionPolicy inclusion, std::size_t depth) {
+  HierarchyConfig h;
+  const CacheTopology l1 =
+      backend_topology(Granularity::kBank, PowerPolicy::kGated, 0);
+  h.levels.push_back({l1, InclusionPolicy::kNonInclusive});
+  CacheTopology l2 = l1;
+  l2.cache.size_bytes = 16 * 1024;
+  l2.indexing_seed = 2;
+  l2.breakeven_cycles = 48;
+  l2.latency.hit_cycles = 2;
+  l2.latency.miss_cycles = 9;
+  h.levels.push_back({l2, inclusion});
+  if (depth > 2) {
+    CacheTopology l3 = l2;
+    l3.cache.size_bytes = 64 * 1024;
+    l3.cache.ways = 4;
+    l3.indexing = IndexingKind::kStatic;
+    l3.latency.miss_cycles = 30;
+    h.levels.push_back({l3, inclusion});
+  }
+  return h;
+}
+
+void expect_same_stats(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+  EXPECT_EQ(a.flushes, b.flushes);
+  EXPECT_EQ(a.flushed_dirty, b.flushed_dirty);
+}
+
+TEST(AccessBatchEquivalence, HierarchyMatchesPerAccessLoop) {
+  // Hotspot traffic over a footprint between L1 and L3 size: long hit
+  // runs, misses at every level, dirty victims and evictions.
+  SyntheticTraceSource src(make_hotspot_workload(48 * 1024), 24000);
+  const Trace trace = Trace::materialize(src);
+  const std::vector<MemAccess>& accesses = trace.accesses();
+  constexpr std::size_t kUpdateEvery = 5000;
+
+  for (const InclusionPolicy inclusion :
+       {InclusionPolicy::kNonInclusive, InclusionPolicy::kInclusive,
+        InclusionPolicy::kExclusive, InclusionPolicy::kVictim}) {
+    for (const std::size_t depth : {std::size_t{2}, std::size_t{3}}) {
+      for (const std::size_t batch :
+           {std::size_t{1}, std::size_t{7}, std::size_t{256},
+            std::size_t{4096}}) {
+        SCOPED_TRACE(std::string(to_string(inclusion)) + " depth " +
+                     std::to_string(depth) + " batch " +
+                     std::to_string(batch));
+        const HierarchyConfig h = stack_of(inclusion, depth);
+        HierarchicalCache scalar(h);
+        HierarchicalCache batched(h);
+        std::vector<AccessOutcome> outs(batch);
+        std::size_t pos = 0;
+        std::size_t calls = 0;
+        while (pos < accesses.size()) {
+          const std::size_t next_update =
+              (pos / kUpdateEvery + 1) * kUpdateEvery;
+          const std::size_t take =
+              std::min({batch, accesses.size() - pos, next_update - pos});
+          // Every other call asks for stalls only.
+          const bool keep = calls++ % 2 == 0;
+          const std::uint64_t stalls = batched.access_batch(
+              accesses.data() + pos, take, keep ? outs.data() : nullptr);
+          std::uint64_t summed = 0;
+          for (std::size_t i = 0; i < take; ++i) {
+            const MemAccess& a = accesses[pos + i];
+            const AccessOutcome o =
+                scalar.access(a.address, a.kind == AccessKind::kWrite);
+            if (o.stall_cycles != 0) scalar.advance_idle(o.stall_cycles);
+            summed += o.stall_cycles;
+            if (keep) expect_same_outcome(o, outs[i], pos + i);
+          }
+          ASSERT_EQ(stalls, summed) << "at access " << pos;
+          ASSERT_EQ(scalar.cycles(), batched.cycles()) << "at access " << pos;
+          pos += take;
+          if (pos % kUpdateEvery == 0) {
+            EXPECT_EQ(scalar.update_indexing(), batched.update_indexing());
+          }
+        }
+        scalar.finish();
+        batched.finish();
+        for (std::size_t l = 0; l < depth; ++l) {
+          SCOPED_TRACE("level " + std::to_string(l));
+          EXPECT_EQ(scalar.level(l).cycles(), batched.level(l).cycles());
+          expect_same_stats(scalar.level_stats(l), batched.level_stats(l));
+        }
+        ASSERT_EQ(scalar.num_units(), batched.num_units());
+        for (std::uint64_t u = 0; u < scalar.num_units(); ++u) {
+          EXPECT_EQ(scalar.unit_residency(u), batched.unit_residency(u))
+              << "unit " << u;
+          const UnitActivity sa = scalar.unit_activity(u);
+          const UnitActivity ba = batched.unit_activity(u);
+          EXPECT_EQ(sa.accesses, ba.accesses) << "unit " << u;
+          EXPECT_EQ(sa.sleep_cycles, ba.sleep_cycles) << "unit " << u;
+          EXPECT_EQ(sa.sleep_episodes, ba.sleep_episodes) << "unit " << u;
+          const IntervalAccumulator& si = scalar.unit_intervals(u);
+          const IntervalAccumulator& bi = batched.unit_intervals(u);
+          EXPECT_EQ(si.interval_count(), bi.interval_count()) << "unit " << u;
+          EXPECT_EQ(si.total_idle_cycles(), bi.total_idle_cycles())
+              << "unit " << u;
+          EXPECT_EQ(si.longest(), bi.longest()) << "unit " << u;
+          EXPECT_EQ(si.sleep_cycles(24), bi.sleep_cycles(24)) << "unit " << u;
+          EXPECT_EQ(si.sleep_cycles(48), bi.sleep_cycles(48)) << "unit " << u;
+        }
+      }
+    }
   }
 }
 

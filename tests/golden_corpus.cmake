@@ -13,6 +13,11 @@
 # sha+cjpeg multiprogram stream with a 2000-access quantum, and the two
 # 2-core shared-LLC runs (fully shared, then 4+4 ways).
 #
+# With -DBENCH_DIR, the stdout of the routed-path bench binaries
+# (bench_hierarchy_depth, bench_contention_scaling, bench_multicore_qos)
+# at PCAL_BENCH_ACCESSES=20000 is pinned too (tests/golden/bench_<name>.out),
+# once with 1 sweep worker and once with 8.
+#
 # On a mismatch the fresh outputs are written to <WORK_DIR>/fresh/ and
 # the test fails naming each file.  -DUPDATE_GOLDEN=ON (on this script,
 # or on the CMake configure, which forwards it) rewrites tests/golden/
@@ -20,7 +25,8 @@
 #
 #   cmake -DPCALSWEEP=<pcalsweep> -DPCALSIM=<pcalsim>
 #         -DTRACEPACK=<pcal-tracepack> -DSOURCE_DIR=<repo root>
-#         -DWORK_DIR=<scratch dir> [-DUPDATE_GOLDEN=ON]
+#         -DWORK_DIR=<scratch dir> [-DBENCH_DIR=<bench binaries>]
+#         [-DUPDATE_GOLDEN=ON]
 #         -P golden_corpus.cmake
 cmake_minimum_required(VERSION 3.16)
 
@@ -139,6 +145,25 @@ foreach(name IN LISTS smoke_names)
   endif()
   check_golden("pcalsim_${name}.out" "${out}")
 endforeach()
+
+if(BENCH_DIR)
+  foreach(bench hierarchy_depth contention_scaling multicore_qos)
+    foreach(workers 1 8)
+      execute_process(
+        COMMAND ${CMAKE_COMMAND} -E env PCAL_BENCH_ACCESSES=20000
+                PCAL_BENCH_THREADS=${workers}
+                PCAL_BENCH_JSON_DIR=${WORK_DIR}/records
+                "${BENCH_DIR}/bench_${bench}"
+        WORKING_DIRECTORY "${WORK_DIR}"
+        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+      if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "bench_${bench} (${workers} workers) failed "
+                            "(${rc}):\n${err}")
+      endif()
+      check_golden("bench_${bench}.out" "${out}")
+    endforeach()
+  endforeach()
+endif()
 
 if(mismatches)
   list(REMOVE_DUPLICATES mismatches)
