@@ -25,6 +25,21 @@ RunAssembly assemble_from(const RunConfig& config) {
   return asmb;
 }
 
+/// core<k>_workload entries for cores the config does not build (k >=
+/// cores; a single-stream config builds none), which a run would drop
+/// without a word.  Only a single run refuses them: a grid with a
+/// `cores` axis keeps core1_workload on its one-core rows.
+std::vector<ConfigIssue> missing_cores(const RunAssembly& asmb) {
+  std::vector<ConfigIssue> issues;
+  for (const auto& [core, workload] : asmb.core_workloads())
+    if (static_cast<std::uint64_t>(core) >= asmb.cores())
+      issues.push_back({"core" + std::to_string(core) + "_workload",
+                        workload,
+                        "no such core (cores = " +
+                            std::to_string(asmb.cores()) + ")"});
+  return issues;
+}
+
 }  // namespace
 
 std::string describe(const std::vector<ConfigIssue>& issues) {
@@ -83,13 +98,18 @@ std::vector<ConfigIssue> RunConfig::validate() const {
   };
   if (!asmb.workload().empty()) check_workload("workload", asmb.workload());
   for (const auto& [core, workload] : asmb.core_workloads())
-    check_workload("core" + std::to_string(core) + "_workload", workload);
+    if (static_cast<std::uint64_t>(core) < asmb.cores())
+      check_workload("core" + std::to_string(core) + "_workload", workload);
+  const std::vector<ConfigIssue> missing = missing_cores(asmb);
+  issues.insert(issues.end(), missing.begin(), missing.end());
   return issues;
 }
 
 RunOutput run(const RunConfig& config, const RunOptions& options) {
   RunAssembly asmb = assemble_from(config);
   RunAssembly::Assembled assembled = asmb.assemble();
+  const std::vector<ConfigIssue> missing = missing_cores(asmb);
+  PCAL_CONFIG_CHECK(missing.empty(), describe(missing));
   const std::uint64_t accesses = asmb.accesses();
   const std::string workload =
       asmb.workload().empty() ? kDefaultWorkload : asmb.workload();

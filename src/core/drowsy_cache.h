@@ -94,11 +94,17 @@ class DrowsyHybridCache final : public ManagedCache {
   AccessOutcome do_probe(std::uint64_t address) override {
     return base_->probe(address);
   }
-  /// Batches ride the base backend's tight loop: the hybrid only
-  /// re-prices idleness after the fact, it never alters access outcomes.
+  /// Batches and hit runs ride the base backend's tight loops: the
+  /// hybrid only re-prices idleness after the fact, it never alters
+  /// access outcomes.
   std::uint64_t do_access_batch(const MemAccess* accesses, std::size_t n,
                                 AccessOutcome* out) override {
     return base_->access_batch(accesses, n, out);
+  }
+  HitRun do_access_until_miss(const MemAccess* accesses, std::size_t n,
+                              AccessOutcome* out,
+                              std::size_t out_stride) override {
+    return base_->access_until_miss(accesses, n, out, out_stride);
   }
 
   std::unique_ptr<ManagedCache> base_;

@@ -60,17 +60,20 @@ HierarchicalCache::HierarchicalCache(const HierarchyConfig& config) {
     routing_.push_back({level.cache.get(), level.inclusion});
 }
 
-AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
-                           std::uint64_t address, bool is_write) {
-  AccessOutcome top = levels[0].cache->access(address, is_write);
-  std::uint64_t stall = top.stall_cycles;
-  top.num_events = 0;
-  top.add_event(0, top.hit, top.writeback, top.physical_unit, address);
+namespace {
 
-  // Route one event per level down the hierarchy; once a level is not
-  // referenced (its policy has nothing for it this cycle), it and every
-  // level below idle the cycle away.
-  AccessOutcome cur = top;
+/// Routes one access on below level 0, given level 0's outcome `top`
+/// for it (its level 0 event already recorded): one event per level
+/// down the chain, and top.stall_cycles becomes the sum over every level
+/// actually referenced.  `top` is updated in place — copying the
+/// outcome per routed access costs the contention runs measurably.
+void route_below(RoutedLevel* levels, std::size_t num_levels,
+                 AccessOutcome& top, std::uint64_t address) {
+  std::uint64_t stall = top.stall_cycles;
+  // Once a level is not referenced (its policy has nothing for it this
+  // cycle), it and every level below idle the cycle away.
+  const AccessOutcome* cur = &top;
+  AccessOutcome lower;
   std::uint64_t cur_address = address;
   bool active = true;
   for (std::size_t i = 1; i < num_levels; ++i) {
@@ -84,44 +87,47 @@ AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
         case InclusionPolicy::kInclusive:
           // The upper miss stream: the fill, with a dirty upper victim
           // folded in as a write (single-port approximation).
-          if (!cur.hit) {
+          if (!cur->hit) {
             referenced = true;
             event_address = cur_address;
-            event_write = cur.writeback;
+            event_write = cur->writeback;
           }
           break;
         case InclusionPolicy::kExclusive:
-          if (!cur.hit) {
+          if (!cur->hit) {
             referenced = true;
-            if (cur.evicted) {
-              event_address = cur.victim_address;  // the victim moves down
-              event_write = cur.writeback;
+            if (cur->evicted) {
+              event_address = cur->victim_address;  // the victim moves down
+              event_write = cur->writeback;
             } else {
               // Victimless (cold) miss: a non-allocating probe — the
               // missed line fills the level above, never this one, so
               // exclusivity survives post-flush refill bursts.
-              cur = level.cache->probe(cur_address);
-              stall += cur.stall_cycles;
-              top.add_event(static_cast<std::uint8_t>(i), cur.hit,
-                            cur.writeback, cur.physical_unit, cur_address);
+              lower = level.cache->probe(cur_address);
+              cur = &lower;
+              stall += lower.stall_cycles;
+              top.add_event(static_cast<std::uint8_t>(i), lower.hit,
+                            lower.writeback, lower.physical_unit,
+                            cur_address);
               continue;
             }
           }
           break;
         case InclusionPolicy::kVictim:
-          if (!cur.hit && cur.evicted) {
+          if (!cur->hit && cur->evicted) {
             referenced = true;
-            event_address = cur.victim_address;
-            event_write = cur.writeback;
+            event_address = cur->victim_address;
+            event_write = cur->writeback;
           }
           break;
       }
       if (referenced) {
-        cur = level.cache->access(event_address, event_write);
+        lower = level.cache->access(event_address, event_write);
+        cur = &lower;
         cur_address = event_address;
-        stall += cur.stall_cycles;
-        top.add_event(static_cast<std::uint8_t>(i), cur.hit, cur.writeback,
-                      cur.physical_unit, event_address);
+        stall += lower.stall_cycles;
+        top.add_event(static_cast<std::uint8_t>(i), lower.hit,
+                      lower.writeback, lower.physical_unit, event_address);
         // Inclusive back-invalidation at line granularity: a victim
         // leaving an inclusive level may still be resident above, where
         // its frame must be dropped to keep the subset property.  A pure
@@ -129,23 +135,87 @@ AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
         // copy is dropped without a writeback — the documented
         // approximation; the upper levels' line containing the victim's
         // base address is invalidated when line sizes differ).
-        if (level.inclusion == InclusionPolicy::kInclusive && cur.evicted)
+        if (level.inclusion == InclusionPolicy::kInclusive && lower.evicted)
           for (std::size_t j = 0; j < i; ++j)
-            levels[j].cache->invalidate_line(cur.victim_address);
+            levels[j].cache->invalidate_line(lower.victim_address);
         continue;
       }
       active = false;
     }
     level.cache->advance_idle(1);
   }
-
   top.stall_cycles = stall;
+}
+
+}  // namespace
+
+AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
+                           std::uint64_t address, bool is_write) {
+  AccessOutcome top = levels[0].cache->access(address, is_write);
+  top.num_events = 0;
+  top.add_event(0, top.hit, top.writeback, top.physical_unit, address);
+  route_below(levels, num_levels, top, address);
   return top;
+}
+
+std::uint64_t route_run(RoutedLevel* levels, std::size_t num_levels,
+                        const MemAccess* accesses, std::size_t n,
+                        AccessOutcome* out, const RouteReplay& replay,
+                        bool replay_hits) {
+  ManagedCache& l1 = *levels[0].cache;
+  AccessOutcome scratch;  // the one outcome slot of a stalls-only run
+  const std::size_t stride = out ? 1 : 0;
+  std::uint64_t cycles = 0;  // consumed so far: one per access + stalls
+  std::uint64_t owed = 0;    // of those, what the levels below L1 lack
+  const auto catch_up = [&] {
+    if (owed == 0) return;
+    for (std::size_t l = 1; l < num_levels; ++l)
+      levels[l].cache->advance_idle(owed);
+    owed = 0;
+  };
+  std::size_t i = 0;
+  while (i < n) {
+    AccessOutcome* const slot = out ? out + i : &scratch;
+    const HitRun run = l1.access_until_miss(
+        accesses + i, replay_hits ? 1 : n - i, slot, stride);
+    AccessOutcome& last = slot[(run.served - 1) * stride];
+    const bool missed = !last.hit;
+    const std::uint64_t hit_cycles =
+        run.served - (missed ? 1 : 0) + run.hit_stalls;
+    cycles += hit_cycles;
+    owed += hit_cycles;
+    i += run.served;
+    if (!missed && !replay_hits) continue;
+
+    // `last` is a miss, or a hit under per-access replay.  A miss is
+    // routed on below once the levels there have caught up; its stall
+    // is still owed to every level.
+    std::uint64_t stall = 0;
+    if (missed) {
+      catch_up();
+      route_below(levels, num_levels, last, accesses[i - 1].address);
+      stall = last.stall_cycles;
+      cycles += 1;
+    }
+    // The access's events sit at its issue cycle plus its latency stall.
+    if (replay) stall += replay(last, cycles - 1 + stall);
+    if (stall != 0) l1.advance_idle(stall);
+    cycles += stall;
+    owed += stall;
+  }
+  catch_up();
+  return cycles - n;
 }
 
 AccessOutcome HierarchicalCache::do_access(std::uint64_t address,
                                            bool is_write) {
   return route_access(routing_.data(), routing_.size(), address, is_write);
+}
+
+std::uint64_t HierarchicalCache::do_access_batch(const MemAccess* accesses,
+                                                 std::size_t n,
+                                                 AccessOutcome* out) {
+  return route_run(routing_.data(), routing_.size(), accesses, n, out);
 }
 
 AccessOutcome HierarchicalCache::do_probe(std::uint64_t address) {

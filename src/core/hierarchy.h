@@ -39,13 +39,20 @@
 // referenced (each level priced by its own CacheTopology::latency), and
 // the driver stretches the global clock by that sum.
 //
+// A run of L1 hits references nothing below L1, so route_run serves it
+// through L1 alone and the levels below catch up on the run's cycles in
+// one advance_idle before the next miss is routed (and at the end of
+// the run): every level is on the global clock whenever the call
+// returns.
+//
 // The hierarchy presents the concatenated unit vector — level 0's units
 // first, then each level below in order — for callers that want a
 // stack as one ManagedCache.  The driver (MultiCoreSystem::run, which
 // Simulator::run calls) does not wrap stacks in it: it walks each
-// core's chain with route_access directly, and keeps access_batch for a
-// lone single-level core.  Both apply the same flush rule,
-// update_flush_plan.
+// core's chain with route_run directly, and keeps access_batch for a
+// lone single-level core without contention.  HierarchicalCache's
+// access_batch is the same route_run, and both apply the same flush
+// rule, update_flush_plan.
 // stats() is level 0's tag store (what the CPU sees); level_stats(i)
 // exposes the others.  update_indexing fires the update signal into every
 // level whose indexing actually rotates (a static-indexed or single-unit
@@ -67,6 +74,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,6 +111,34 @@ struct RoutedLevel {
 /// (core/multicore.h) with identical semantics, bit for bit.
 AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
                            std::uint64_t address, bool is_write);
+
+/// The resource replay route_run applies to a routed access: given its
+/// outcome (every level event) and its event time, counted in cycles
+/// from the start of the run, returns the extra stall the access pays.
+/// The driver plugs the contention model in here (core/contention.h).
+using RouteReplay =
+    std::function<std::uint64_t(const AccessOutcome&, std::uint64_t)>;
+
+/// Serves accesses[0..n) through `levels`, exactly as n calls of
+/// route_access, each followed by advance_idle(stall + replay stall) on
+/// every level — at a fraction of the cost.  Every inclusion policy
+/// touches a lower level only on an L1 miss, so a run of L1 hits is pure
+/// idle time below L1: the hit run is served by L1's access_until_miss,
+/// the levels below are owed one cycle plus the stall of each hit, and
+/// they catch up with one advance_idle just before the miss is routed
+/// on from L1's outcome, and again at the end.  No level is out of step
+/// outside the call.
+///
+/// `replay` (if set) is called once per routed miss and its stall joins
+/// the miss's; hits skip it unless `replay_hits` asks for per-access
+/// replay (a hit's only event is its L1 event, which only a multi-cycle
+/// port hold can stall: docs/CONTENTION.md).  `out`, if non-null,
+/// receives route_access's outcome of every access (stalls exclude the
+/// replay's).  Returns the run's summed stall, replay included.
+std::uint64_t route_run(RoutedLevel* levels, std::size_t num_levels,
+                        const MemAccess* accesses, std::size_t n,
+                        AccessOutcome* out, const RouteReplay& replay = {},
+                        bool replay_hits = false);
 
 /// One level of a hierarchy: its cache architecture plus how it relates
 /// to the level above it.
@@ -189,14 +225,11 @@ class HierarchicalCache final : public ManagedCache {
     std::uint64_t unit_offset;  // index of its first unit in the vector
   };
 
-  // No do_access_batch override: each access's route depends on the tag
-  // state the previous one left behind (hits absorb, misses fill and
-  // evict downward), so a hierarchy cannot pre-decode a batch.  The
-  // inherited default replays access_batch through this routed
-  // per-access path — batched callers stay correct, each *level's*
-  // backend keeps its own batch loop for single-level use.
   AccessOutcome do_access(std::uint64_t address, bool is_write) override;
   AccessOutcome do_probe(std::uint64_t address) override;
+  /// Batches ride route_run, the driver's own routing body.
+  std::uint64_t do_access_batch(const MemAccess* accesses, std::size_t n,
+                                AccessOutcome* out) override;
   const Level& level_of_unit(std::uint64_t unit, std::uint64_t* local) const;
 
   std::vector<Level> levels_;

@@ -8,20 +8,25 @@
 // event, Block Control bookkeeping and the clock — is the same.  So each
 // backend writes only its mapping, as decode() and remap() (plus
 // unit_of() where the serving unit depends on the tag store's way), and
-// LeafCache writes the per-access body, serve(), once.  The three
+// LeafCache writes the per-access body, serve(), once.  The four
 // ManagedCache entry points are thin shells over it:
 //
-//   access(a)           decode(a), then serve(allocate)
-//   probe(a)            decode(a), then serve(no allocate)
-//   access_batch(a, n)  per 256-access chunk: decode every address,
-//                       then serve each access and add its stall to
-//                       the clock
+//   access(a)                decode(a), then serve(allocate)
+//   probe(a)                 decode(a), then serve(no allocate)
+//   access_batch(a, n)       per 256-access chunk: decode every address,
+//                            then serve each access and add its stall
+//                            to the clock
+//   access_until_miss(a, n)  decode and serve one access at a time,
+//                            adding each hit's stall to the clock, and
+//                            stop after the first miss
 //
 // serve() consumes the access's one base cycle but not its stall: the
 // per-access caller (the driver, a hierarchy) stretches the clock with
-// advance_idle, and the batch body adds each stall itself before serving
-// the next access.  Both entry points therefore land on the same clock,
-// bit for bit.  Decoding a whole chunk ahead of serving it is exact
+// advance_idle, and the batch and hit-run bodies add each stall
+// themselves before serving the next access.  Every entry point
+// therefore lands on the same clock, bit for bit.  The hit-run body
+// leaves the miss's stall to its caller, so a hierarchy can route the
+// miss below before the clock moves.  Decoding a whole chunk ahead of serving it is exact
 // because the mapping only moves on update_indexing(), which the driver
 // never fires mid-batch.
 #pragma once
@@ -196,6 +201,27 @@ class LeafCache : public ManagedCache {
       }
     }
     return stalls;
+  }
+
+  /// No chunked pre-decode here: the run stops at its first miss, so
+  /// decoding ahead would waste the work past it.
+  HitRun do_access_until_miss(const MemAccess* accesses, std::size_t n,
+                              AccessOutcome* out,
+                              std::size_t out_stride) override {
+    PCAL_ASSERT_MSG(!finished_, "cache already finished");
+    HitRun run;
+    while (run.served < n) {
+      const MemAccess& a = accesses[run.served];
+      AccessOutcome& o = out[run.served * out_stride];
+      const std::uint64_t stall =
+          serve(self().decode(a.address), a.address,
+                a.kind == AccessKind::kWrite, /*allocate=*/true, o);
+      ++run.served;
+      if (!o.hit) break;
+      cycle_ += stall;
+      run.hit_stalls += stall;
+    }
+    return run;
   }
 
   /// The per-access body.  Writes every field of `out` (callers may

@@ -17,8 +17,9 @@
 // (monolithic, bank, way, line) share it through LeafCache
 // (core/leaf_cache.h) and only describe their address mapping; the
 // composites (DrowsyHybridCache, HierarchicalCache) forward to the
-// leaves they own.  access(), probe() and access_batch() are the only
-// entry points, all three behind the non-virtual interface below.
+// leaves they own.  access(), probe(), access_batch() and
+// access_until_miss() are the only entry points, all four behind the
+// non-virtual interface below.
 //
 // ## Ownership, thread-safety and determinism (the API contract)
 //
@@ -134,6 +135,14 @@ struct AccessOutcome {
     e.unit = unit;
     e.address = address;
   }
+};
+
+/// What ManagedCache::access_until_miss served: the number of accesses
+/// (the hits, plus the miss that ended the run, if one did) and the
+/// summed stall of the hits, which the cache has already applied.
+struct HitRun {
+  std::size_t served = 0;
+  std::uint64_t hit_stalls = 0;
 };
 
 /// Instantaneous power state of one unit, as the interval observer and
@@ -273,21 +282,36 @@ class ManagedCache {
   /// — each access's stall advances the clock before the next access is
   /// served, so sleep/wake classification, statistics and residencies
   /// are bit-identical to the per-access loop at every batch size.  The
-  /// default does exactly that loop (the composites use it); the leaf
-  /// backends run the same per-access body over a pre-decoded chunk.
+  /// leaf backends run the same per-access body over a pre-decoded
+  /// chunk; a hierarchy serves L1 hits in runs (route_run).
   /// One caveat for `out` reuse across calls: entries of events[] at
   /// and past num_events are unspecified.
   ///
   /// A null `out` means stalls only: the accesses are simulated exactly
   /// as above and no outcome is stored.  The driver (MultiCoreSystem::run)
-  /// passes null unless a consumer (contention) reads the outcomes; a 256-access
-  /// outcome array is larger than a typical L1 data cache.
+  /// passes null; a 256-access outcome array is larger than a typical L1
+  /// data cache.
   ///
   /// Returns the batch's summed stall_cycles, so the driver's clock
   /// never has to re-read the strided outcome array.
   std::uint64_t access_batch(const MemAccess* accesses, std::size_t n,
                              AccessOutcome* out) {
     return do_access_batch(accesses, n, out);
+  }
+
+  /// Serves accesses[0..n) in order until one misses, serves that one
+  /// too and stops after it (n >= 1).  Each hit is followed by its own
+  /// stall, exactly as in access_batch; the miss's stall is the
+  /// caller's to apply, as with access().  That is what lets a
+  /// hierarchy treat a run of hits as pure idle time for every level
+  /// below, and route the miss on before the clock moves
+  /// (route_run, core/hierarchy.h).  Outcome i is written to
+  /// out[i * out_stride]: stride 1 keeps every outcome, stride 0 only
+  /// the last one, in out[0].  The last outcome's `hit` says whether the
+  /// run ended on a miss.
+  HitRun access_until_miss(const MemAccess* accesses, std::size_t n,
+                           AccessOutcome* out, std::size_t out_stride) {
+    return do_access_until_miss(accesses, n, out, out_stride);
   }
 
   /// Fires the update signal: advances the time-varying indexing and
@@ -363,21 +387,29 @@ class ManagedCache {
   virtual AccessOutcome do_access(std::uint64_t address, bool is_write) = 0;
   virtual AccessOutcome do_probe(std::uint64_t address) = 0;
 
-  /// Batched access body behind access_batch().  The default loops over
-  /// access() — the composites' path (hierarchies route level by level,
-  /// so they inherit it).
-  virtual std::uint64_t do_access_batch(const MemAccess* accesses,
-                                        std::size_t n, AccessOutcome* out) {
-    std::uint64_t stalls = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const AccessOutcome o =
-          access(accesses[i].address, accesses[i].kind == AccessKind::kWrite);
-      if (o.stall_cycles != 0) advance_idle(o.stall_cycles);
-      stalls += o.stall_cycles;
-      if (out) out[i] = o;
+  /// Hit-run body behind access_until_miss().  The default serves one
+  /// access through access() — a run of length one; the leaf backends
+  /// serve the whole run.
+  virtual HitRun do_access_until_miss(const MemAccess* accesses,
+                                      std::size_t /*n*/, AccessOutcome* out,
+                                      std::size_t /*out_stride*/) {
+    HitRun run;
+    run.served = 1;
+    out[0] = access(accesses[0].address,
+                    accesses[0].kind == AccessKind::kWrite);
+    if (out[0].hit) {
+      if (out[0].stall_cycles != 0) advance_idle(out[0].stall_cycles);
+      run.hit_stalls = out[0].stall_cycles;
     }
-    return stalls;
+    return run;
   }
+
+  /// Batched access body behind access_batch(): the leaf backends run
+  /// it over a pre-decoded chunk, the drowsy wrapper forwards to its
+  /// base and a hierarchy serves the batch through route_run.
+  virtual std::uint64_t do_access_batch(const MemAccess* accesses,
+                                        std::size_t n,
+                                        AccessOutcome* out) = 0;
 };
 
 /// Builds the backend for a topology: MonolithicCache, BankedCache,

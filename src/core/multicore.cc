@@ -27,7 +27,7 @@ void add_stats(CacheStats& into, const CacheStats& s) {
 }
 
 /// Accumulates `after - before` into `into` — the delta attribution of
-/// one routed access's LLC traffic to its issuing core.
+/// one routed run's LLC traffic to its issuing core.
 void add_delta(CacheStats& into, const CacheStats& before,
                const CacheStats& after) {
   for_each_field(into, [](const char*, std::uint64_t& a, std::uint64_t b0,
@@ -156,13 +156,18 @@ MultiCoreResult MultiCoreSystem::run(
     TraceSource* source = nullptr;
     std::uint64_t offset = 0;
     std::uint64_t quantum = 0;  // the source's boundary_hint, 0 = none
-    std::vector<MemAccess> batch;
+    std::vector<MemAccess> batch;  // addresses already offset
     std::size_t batch_n = 0;
     std::size_t batch_i = 0;
     bool done = false;
     std::uint64_t accesses = 0;
     std::uint64_t stalls = 0;
     CacheStats llc_stats;
+    // Global cycles the private levels have not seen yet: other cores'
+    // runs, caught up lazily (see catch_up below).
+    std::uint64_t owed = 0;
+    RouteReplay replay;        // contention replay of this core's chain
+    bool replay_hits = false;  // its L1 holds a port longer than a cycle
   };
 
   const bool shared = config_.llc.enabled();
@@ -318,13 +323,25 @@ MultiCoreResult MultiCoreSystem::run(
     snap.unit_states = &snap_states;
   };
 
-  // The global clock: one issued access per cycle plus its stalls;
-  // unreferenced levels (and every other core) idle, so every backend's
-  // cycle counter stays in lockstep with the TimingModel.
+  // The global clock: one issued access per cycle plus its stalls.
+  // Every level of the serving core's chain (the LLC included) is on it
+  // whenever route_run returns; every other core's private levels are
+  // owed the cycles they sat out and catch up when their core's turn
+  // starts, at every boundary and before finish(), so every backend's
+  // cycle counter agrees with the TimingModel wherever it is read.
   TimingModel timing;
   std::uint64_t since_boundary = 0;
   std::uint64_t boundary_index = 0;
   std::uint64_t updates_applied = 0;
+
+  const auto catch_up = [](CoreRt& c) {
+    if (c.owed == 0) return;
+    for (auto& level : c.levels) level->advance_idle(c.owed);
+    c.owed = 0;
+  };
+  const auto catch_up_all = [&] {
+    for (CoreRt& c : rt) catch_up(c);
+  };
 
   const auto notify = [&](std::uint64_t index, bool fired) {
     IntervalSnapshot snap;
@@ -347,12 +364,13 @@ MultiCoreResult MultiCoreSystem::run(
     observer(snap);
   };
 
-  // Everything that happens at an update/observer boundary: fire the
-  // re-indexing update while budget remains, then hand the observer its
-  // snapshot.
+  // Everything that happens at an update/observer boundary: bring every
+  // core onto the clock, fire the re-indexing update while budget
+  // remains, then hand the observer its snapshot.
   const auto on_boundary = [&] {
     since_boundary = 0;
     ++boundary_index;
+    catch_up_all();
     bool fired = false;
     if (update_interval != 0 && updates_applied < config_.reindex_updates) {
       fire_update();
@@ -362,60 +380,54 @@ MultiCoreResult MultiCoreSystem::run(
     if (observer) notify(boundary_index, fired);
   };
 
+  // Under contention each core's routed accesses replay through the
+  // resource model at their position on the stretched clock.  A hit's
+  // only event is its L1 event, and the model does nothing with it
+  // unless that L1 holds a port longer than one cycle (each level sees
+  // at most one event per access, and events are at least a cycle
+  // apart, so a one-cycle hold never stalls).  So a core replays only
+  // its misses, and every access only behind such an L1.
+  if (contention.enabled())
+    for (std::size_t k = 0; k < num_cores; ++k) {
+      const ContentionParams& l1 =
+          config_.cores[k].levels.front().topology.contention;
+      rt[k].replay = [&contend, &timing, k](const AccessOutcome& out,
+                                            std::uint64_t at) {
+        return contend(k, out, timing.total_cycles() + at);
+      };
+      rt[k].replay_hits = l1.ports > 0 && l1.port_cycles > 1;
+    }
+
   // Serves a run of `n` accesses of core k and returns their stall.  A
-  // lone single-level core hands the whole run to the backend's batch
-  // entry point (which applies each access's latency stall itself);
-  // under contention runs are one access long and the outcome's event
-  // replays through the resource model, whose stall advances the clock
-  // on top.  Every other chain routes one access at a time.
-  const bool batched = num_cores == 1 && depth == 1 && !shared;
-  std::vector<AccessOutcome> outs(contention.enabled() ? 1 : 0);
-  AccessOutcome* const out = outs.empty() ? nullptr : outs.data();
+  // lone single-level core without contention hands the run to the
+  // backend's batch entry point, which never has to stop at a miss.
+  // Every other chain serves it through route_run: L1 hits in runs,
+  // each miss routed below (and replayed).  The other cores are owed
+  // the run's cycles; the LLC's traffic delta is the core's.
+  const bool batched =
+      num_cores == 1 && depth == 1 && !shared && !contention.enabled();
   std::size_t mask_owner = num_cores;  // sentinel: force the first switch
   const auto serve_run = [&](std::size_t k, const MemAccess* accesses,
                              std::size_t n) -> std::uint64_t {
     CoreRt& c = rt[k];
-    if (batched) {
-      ManagedCache& cache = *c.levels.front();
-      std::uint64_t stalls = cache.access_batch(accesses, n, out);
-      if (contention.enabled()) {
-        const std::uint64_t extra =
-            contend(k, outs[0], timing.total_cycles() + stalls);
-        if (extra != 0) cache.advance_idle(extra);
-        stalls += extra;
-      }
-      timing.on_batch(n, stalls);
-      return stalls;
-    }
-    if (partitioned && mask_owner != k) {
-      llc->set_alloc_way_mask(config_.cores[k].llc_way_mask);
-      mask_owner = k;
-    }
     std::uint64_t stalls = 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    if (batched) {
+      stalls = c.levels.front()->access_batch(accesses, n, nullptr);
+    } else {
+      catch_up(c);
+      if (partitioned && mask_owner != k) {
+        llc->set_alloc_way_mask(config_.cores[k].llc_way_mask);
+        mask_owner = k;
+      }
       CacheStats llc_before;
       if (shared) llc_before = llc->stats();
-      const AccessOutcome o = route_access(
-          c.route.data(), c.route.size(), accesses[i].address + c.offset,
-          accesses[i].kind == AccessKind::kWrite);
+      stalls = route_run(c.route.data(), c.route.size(), accesses, n,
+                         nullptr, c.replay, c.replay_hits);
       if (shared) add_delta(c.llc_stats, llc_before, llc->stats());
-      std::uint64_t stall = o.stall_cycles;
-      if (contention.enabled())
-        stall += contend(k, o, timing.total_cycles() + stall);
-      // Every other core's private levels idle this cycle (the LLC was
-      // advanced inside route_access, referenced or idle).
-      for (std::size_t j = 0; j < num_cores; ++j) {
-        if (j == k) continue;
-        for (auto& level : rt[j].levels) level->advance_idle(1);
-      }
-      if (stall != 0) {
-        for (CoreRt& other : rt)
-          for (auto& level : other.levels) level->advance_idle(stall);
-        if (shared) llc->advance_idle(stall);
-      }
-      timing.on_access(stall);
-      stalls += stall;
+      for (CoreRt& other : rt)
+        if (&other != &c) other.owed += n + stalls;
     }
+    timing.on_batch(n, stalls);
     return stalls;
   };
 
@@ -440,11 +452,13 @@ MultiCoreResult MultiCoreSystem::run(
             --live;
             break;
           }
+          if (c.offset != 0)
+            for (std::size_t i = 0; i < c.batch_n; ++i)
+              c.batch[i].address += c.offset;
         }
         std::uint64_t take =
             std::min<std::uint64_t>(c.batch_n - c.batch_i, quota);
         if (interval != 0) take = std::min(take, interval - since_boundary);
-        if (batched && contention.enabled()) take = 1;
         const std::size_t n = static_cast<std::size_t>(take);
         c.stalls += serve_run(k, c.batch.data() + c.batch_i, n);
         c.batch_i += n;
@@ -460,6 +474,7 @@ MultiCoreResult MultiCoreSystem::run(
       }
     }
   }
+  catch_up_all();
   for (CoreRt& c : rt)
     for (auto& level : c.levels) level->finish();
   if (shared) llc->finish();

@@ -85,6 +85,28 @@ TEST(RunConfigTest, ValidateResolvesWorkloads) {
   EXPECT_EQ(issues[0].key, "core1_workload");
 }
 
+TEST(RunConfigTest, ValidateRefusesWorkloadsOfMissingCores) {
+  // A core<k>_workload for k >= cores would be dropped by the run.
+  RunConfig mc;
+  mc.set("cores", "2").set("llc_size", "65536").set("cache_size", "8192");
+  mc.set("core1_workload", "sha").set("core5_workload", "sha");
+  std::vector<ConfigIssue> issues = mc.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].key, "core5_workload");
+  EXPECT_EQ(issues[0].value, "sha");
+  EXPECT_NE(issues[0].reason.find("no such core"), std::string::npos);
+  mc.set("accesses", "2000");
+  EXPECT_THROW(api::run(mc), ConfigError);
+
+  // A single-stream config has no cores to name.
+  RunConfig single = small_config();
+  single.set("core0_workload", "sha");
+  issues = single.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].key, "core0_workload");
+  EXPECT_THROW(api::run(single), ConfigError);
+}
+
 TEST(RunConfigTest, ValidateBoundsTheClock) {
   // A latency past the bound would wrap the 64-bit clock; every
   // latency-like key and `accesses` are refused by name.

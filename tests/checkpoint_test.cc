@@ -95,12 +95,20 @@ std::vector<SweepJob> sample_grid() {
   return jobs;
 }
 
-// The _serial/_mt CTest variants of this binary run concurrently out of
-// the same TempDir; the pid keeps their journal files apart.
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/pid" + std::to_string(::getpid()) + "_" +
-         name;
-}
+/// A journal file in the gtest TempDir, removed when the test ends,
+/// however it ends.  The _serial/_mt CTest variants of this binary run
+/// concurrently out of the same TempDir; the pid keeps their journal
+/// files apart.
+struct TempJournal {
+  explicit TempJournal(const std::string& name)
+      : path(::testing::TempDir() + "/pid" + std::to_string(::getpid()) +
+             "_" + name) {}
+  ~TempJournal() { std::remove(path.c_str()); }
+  TempJournal(const TempJournal&) = delete;
+  TempJournal& operator=(const TempJournal&) = delete;
+
+  const std::string path;
+};
 
 /// Serialized-form equality is the strongest exactness check available:
 /// hexfloat tokens are the doubles' bit patterns, so equal strings mean
@@ -420,7 +428,8 @@ TEST(Journal, WriteThenLoadRestoresEveryRecord) {
   SweepRunner runner(1);
   const std::vector<SweepOutcome> outcomes = runner.run(jobs);
 
-  const std::string path = temp_path("journal_roundtrip.pcalj");
+  const TempJournal journal("journal_roundtrip.pcalj");
+  const std::string& path = journal.path;
   const JournalHeader header = sample_header(jobs.size());
   std::vector<std::uint64_t> fps(jobs.size());
   for (std::size_t i = 0; i < fps.size(); ++i) fps[i] = 1000 + i;
@@ -445,7 +454,8 @@ TEST(Journal, WriteThenLoadRestoresEveryRecord) {
 }
 
 TEST(Journal, TornTailIsDiscardedNotFatal) {
-  const std::string path = temp_path("journal_torn.pcalj");
+  const TempJournal journal("journal_torn.pcalj");
+  const std::string& path = journal.path;
   const JournalHeader header = sample_header(4);
   SweepOutcome ok;
   ok.attempts = 1;
@@ -479,7 +489,8 @@ TEST(Journal, TornTailIsDiscardedNotFatal) {
 }
 
 TEST(Journal, CorruptMiddleLineIsFatalWithDiagnostic) {
-  const std::string path = temp_path("journal_corrupt.pcalj");
+  const TempJournal journal("journal_corrupt.pcalj");
+  const std::string& path = journal.path;
   const JournalHeader header = sample_header(4);
   SweepOutcome ok;
   ok.attempts = 1;
@@ -516,7 +527,8 @@ TEST(Journal, CorruptMiddleLineIsFatalWithDiagnostic) {
 }
 
 TEST(Journal, AppendRefusesMismatchedHeader) {
-  const std::string path = temp_path("journal_mismatch.pcalj");
+  const TempJournal journal("journal_mismatch.pcalj");
+  const std::string& path = journal.path;
   { JournalWriter writer(path, sample_header(4), {1, 2, 3, 4}, false); }
   JournalHeader other = sample_header(4);
   other.fingerprint ^= 1;
@@ -544,7 +556,8 @@ TEST(Resume, MergedOutcomesMatchUninterruptedRunBitForBit) {
   // comparison below cannot catch a dropped stall field.
   ASSERT_GT(reference.back().result.mshr_stall_cycles, 0u);
 
-  const std::string path = temp_path("journal_resume.pcalj");
+  const TempJournal journal("journal_resume.pcalj");
+  const std::string& path = journal.path;
   const JournalHeader header = sample_header(jobs.size());
   std::vector<std::uint64_t> fps(jobs.size());
   for (std::size_t i = 0; i < fps.size(); ++i) fps[i] = 7000 + i;

@@ -65,6 +65,20 @@ def test_validate_checks_the_assembled_whole():
     assert len(issues) == 1 and issues[0]["key"] == "workload"
 
 
+def test_validate_refuses_workloads_of_missing_cores():
+    cfg = {"cores": 2, "llc_size": "64k", "core5_workload": "sha",
+           "accesses": 2000}
+    issues = pcal.validate(cfg)
+    assert [i["key"] for i in issues] == ["core5_workload"]
+    assert "no such core" in issues[0]["reason"]
+    try:
+        pcal.run(cfg)
+    except pcal.Error as e:
+        assert "core5_workload" in str(e)
+    else:
+        raise AssertionError("pcal.run accepted a workload for core 5")
+
+
 def test_validate_bounds_the_clock():
     # A miss latency of 2^64 - 1 would wrap the simulated clock.
     issues = pcal.validate({"miss_latency": 2**64 - 1, "accesses": 200000})
