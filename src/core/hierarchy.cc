@@ -69,12 +69,26 @@ namespace {
 /// outcome per routed access costs the contention runs measurably.
 void route_below(RoutedLevel* levels, std::size_t num_levels,
                  AccessOutcome& top, std::uint64_t address) {
-  std::uint64_t stall = top.stall_cycles;
-  // Once a level is not referenced (its policy has nothing for it this
-  // cycle), it and every level below idle the cycle away.
-  const AccessOutcome* cur = &top;
-  AccessOutcome lower;
+  // The upper neighbour's streams: level 0's, then each referenced
+  // level's in turn.  Once a level is not referenced (its policy has
+  // nothing for it this cycle), it and every level below idle the cycle
+  // away.
+  bool hit = top.hit;
+  bool writeback = top.writeback;
+  bool evicted = top.evicted;
+  std::uint64_t victim = top.victim_address;
   std::uint64_t cur_address = address;
+  std::uint64_t stall = top.stall_cycles;
+  const auto consume = [&](std::size_t i, const AccessOutcome& o,
+                           std::uint64_t at) {
+    hit = o.hit;
+    writeback = o.writeback;
+    evicted = o.evicted;
+    victim = o.victim_address;
+    stall += o.stall_cycles;
+    top.add_event(static_cast<std::uint8_t>(i), o.hit, o.writeback,
+                  o.physical_unit, at);
+  };
   bool active = true;
   for (std::size_t i = 1; i < num_levels; ++i) {
     RoutedLevel& level = levels[i];
@@ -87,47 +101,39 @@ void route_below(RoutedLevel* levels, std::size_t num_levels,
         case InclusionPolicy::kInclusive:
           // The upper miss stream: the fill, with a dirty upper victim
           // folded in as a write (single-port approximation).
-          if (!cur->hit) {
+          if (!hit) {
             referenced = true;
             event_address = cur_address;
-            event_write = cur->writeback;
+            event_write = writeback;
           }
           break;
         case InclusionPolicy::kExclusive:
-          if (!cur->hit) {
+          if (!hit) {
             referenced = true;
-            if (cur->evicted) {
-              event_address = cur->victim_address;  // the victim moves down
-              event_write = cur->writeback;
+            if (evicted) {
+              event_address = victim;  // the victim moves down
+              event_write = writeback;
             } else {
               // Victimless (cold) miss: a non-allocating probe — the
               // missed line fills the level above, never this one, so
               // exclusivity survives post-flush refill bursts.
-              lower = level.cache->probe(cur_address);
-              cur = &lower;
-              stall += lower.stall_cycles;
-              top.add_event(static_cast<std::uint8_t>(i), lower.hit,
-                            lower.writeback, lower.physical_unit,
-                            cur_address);
+              consume(i, level.cache->probe(cur_address), cur_address);
               continue;
             }
           }
           break;
         case InclusionPolicy::kVictim:
-          if (!cur->hit && cur->evicted) {
+          if (!hit && evicted) {
             referenced = true;
-            event_address = cur->victim_address;
-            event_write = cur->writeback;
+            event_address = victim;
+            event_write = writeback;
           }
           break;
       }
       if (referenced) {
-        lower = level.cache->access(event_address, event_write);
-        cur = &lower;
+        consume(i, level.cache->access(event_address, event_write),
+                event_address);
         cur_address = event_address;
-        stall += lower.stall_cycles;
-        top.add_event(static_cast<std::uint8_t>(i), lower.hit,
-                      lower.writeback, lower.physical_unit, event_address);
         // Inclusive back-invalidation at line granularity: a victim
         // leaving an inclusive level may still be resident above, where
         // its frame must be dropped to keep the subset property.  A pure
@@ -135,9 +141,9 @@ void route_below(RoutedLevel* levels, std::size_t num_levels,
         // copy is dropped without a writeback — the documented
         // approximation; the upper levels' line containing the victim's
         // base address is invalidated when line sizes differ).
-        if (level.inclusion == InclusionPolicy::kInclusive && lower.evicted)
+        if (level.inclusion == InclusionPolicy::kInclusive && evicted)
           for (std::size_t j = 0; j < i; ++j)
-            levels[j].cache->invalidate_line(lower.victim_address);
+            levels[j].cache->invalidate_line(victim);
         continue;
       }
       active = false;
@@ -160,11 +166,9 @@ AccessOutcome route_access(RoutedLevel* levels, std::size_t num_levels,
 
 std::uint64_t route_run(RoutedLevel* levels, std::size_t num_levels,
                         const MemAccess* accesses, std::size_t n,
-                        AccessOutcome* out, const RouteReplay& replay,
-                        bool replay_hits) {
+                        AccessOutcome* out, std::size_t out_stride,
+                        const RouteReplay& replay, bool replay_hits) {
   ManagedCache& l1 = *levels[0].cache;
-  AccessOutcome scratch;  // the one outcome slot of a stalls-only run
-  const std::size_t stride = out ? 1 : 0;
   std::uint64_t cycles = 0;  // consumed so far: one per access + stalls
   std::uint64_t owed = 0;    // of those, what the levels below L1 lack
   const auto catch_up = [&] {
@@ -175,10 +179,10 @@ std::uint64_t route_run(RoutedLevel* levels, std::size_t num_levels,
   };
   std::size_t i = 0;
   while (i < n) {
-    AccessOutcome* const slot = out ? out + i : &scratch;
+    AccessOutcome* const slot = out + i * out_stride;
     const HitRun run = l1.access_until_miss(
-        accesses + i, replay_hits ? 1 : n - i, slot, stride);
-    AccessOutcome& last = slot[(run.served - 1) * stride];
+        accesses + i, replay_hits ? 1 : n - i, slot, out_stride);
+    AccessOutcome& last = slot[(run.served - 1) * out_stride];
     const bool missed = !last.hit;
     const std::uint64_t hit_cycles =
         run.served - (missed ? 1 : 0) + run.hit_stalls;
@@ -215,7 +219,8 @@ AccessOutcome HierarchicalCache::do_access(std::uint64_t address,
 std::uint64_t HierarchicalCache::do_access_batch(const MemAccess* accesses,
                                                  std::size_t n,
                                                  AccessOutcome* out) {
-  return route_run(routing_.data(), routing_.size(), accesses, n, out);
+  return route_run(routing_.data(), routing_.size(), accesses, n,
+                   out ? out : &scratch_, out ? 1 : 0);
 }
 
 AccessOutcome HierarchicalCache::do_probe(std::uint64_t address) {

@@ -132,12 +132,16 @@ using RouteReplay =
 /// `replay` (if set) is called once per routed miss and its stall joins
 /// the miss's; hits skip it unless `replay_hits` asks for per-access
 /// replay (a hit's only event is its L1 event, which only a multi-cycle
-/// port hold can stall: docs/CONTENTION.md).  `out`, if non-null,
-/// receives route_access's outcome of every access (stalls exclude the
-/// replay's).  Returns the run's summed stall, replay included.
+/// port hold can stall: docs/CONTENTION.md).  Access i's outcome, as
+/// route_access returns it (its stall excludes the replay's), is
+/// written to out[i * out_stride]: stride 1 keeps every outcome, stride
+/// 0 reuses one caller-owned slot — cheaper than a fresh outcome per
+/// call, whose zeroing costs a short run more than its routing.
+/// Returns the run's summed stall, replay included.
 std::uint64_t route_run(RoutedLevel* levels, std::size_t num_levels,
                         const MemAccess* accesses, std::size_t n,
-                        AccessOutcome* out, const RouteReplay& replay = {},
+                        AccessOutcome* out, std::size_t out_stride,
+                        const RouteReplay& replay = {},
                         bool replay_hits = false);
 
 /// One level of a hierarchy: its cache architecture plus how it relates
@@ -234,6 +238,7 @@ class HierarchicalCache final : public ManagedCache {
 
   std::vector<Level> levels_;
   std::vector<RoutedLevel> routing_;  // borrowed views for route_access
+  AccessOutcome scratch_;  // the outcome slot of stalls-only batches
   std::uint64_t total_units_ = 0;
   std::uint64_t updates_ = 0;
 };

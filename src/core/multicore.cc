@@ -407,6 +407,7 @@ MultiCoreResult MultiCoreSystem::run(
   const bool batched =
       num_cores == 1 && depth == 1 && !shared && !contention.enabled();
   std::size_t mask_owner = num_cores;  // sentinel: force the first switch
+  AccessOutcome scratch;  // route_run's one outcome slot
   const auto serve_run = [&](std::size_t k, const MemAccess* accesses,
                              std::size_t n) -> std::uint64_t {
     CoreRt& c = rt[k];
@@ -422,7 +423,7 @@ MultiCoreResult MultiCoreSystem::run(
       CacheStats llc_before;
       if (shared) llc_before = llc->stats();
       stalls = route_run(c.route.data(), c.route.size(), accesses, n,
-                         nullptr, c.replay, c.replay_hits);
+                         &scratch, 0, c.replay, c.replay_hits);
       if (shared) add_delta(c.llc_stats, llc_before, llc->stats());
       for (CoreRt& other : rt)
         if (&other != &c) other.owed += n + stalls;
