@@ -26,9 +26,9 @@
 // themselves before serving the next access.  Every entry point
 // therefore lands on the same clock, bit for bit.  The hit-run body
 // leaves the miss's stall to its caller, so a hierarchy can route the
-// miss below before the clock moves.  Decoding a whole chunk ahead of serving it is exact
-// because the mapping only moves on update_indexing(), which the driver
-// never fires mid-batch.
+// miss below before the clock moves.  Decoding a whole chunk ahead of
+// serving it is exact because the mapping only moves on
+// update_indexing(), which the driver never fires mid-batch.
 #pragma once
 
 #include <algorithm>

@@ -387,9 +387,10 @@ class ManagedCache {
   virtual AccessOutcome do_access(std::uint64_t address, bool is_write) = 0;
   virtual AccessOutcome do_probe(std::uint64_t address) = 0;
 
-  /// Hit-run body behind access_until_miss().  The default serves one
-  /// access through access() — a run of length one; the leaf backends
-  /// serve the whole run.
+  /// Hit-run body behind access_until_miss().  The default (a
+  /// hierarchy's) serves one access through access(), a run of length
+  /// one; the leaf backends serve the whole run and the drowsy wrapper
+  /// forwards to its base.
   virtual HitRun do_access_until_miss(const MemAccess* accesses,
                                       std::size_t /*n*/, AccessOutcome* out,
                                       std::size_t /*out_stride*/) {

@@ -16,9 +16,10 @@
 // core), context-switch flags, flush plan, census, contention replay,
 // clock checks, pricing and result assembly each exist here once.  The
 // serving loop hands each core a run of accesses: a lone core with a
-// single level passes the run to ManagedCache::access_batch (outcomes
-// only under contention); every other chain routes one access at a
-// time.
+// single level and no contention passes the run to
+// ManagedCache::access_batch; every other chain serves it with
+// route_run (core/hierarchy.h), L1 hits in runs and each miss routed
+// on.
 //
 // ## Data flow (one issued access)
 //
@@ -30,12 +31,14 @@
 // Core k's addresses are offset by k * address_stride so the streams
 // occupy disjoint address ranges (core 0 is unshifted — the 1-core
 // degeneracy below).  The access routes through the core's private
-// levels and the appended LLC with route_access (core/hierarchy.h), so
+// levels and the appended LLC with route_run (core/hierarchy.h), so
 // miss/eviction-stream semantics, probe behavior and stall composition
-// are HierarchicalCache's, bit for bit.  While core k's access occupies
-// the chain, every other core's private levels advance_idle(1), and
-// stalls advance *everything* — every level of every core and the LLC
-// live on the same clock, so leakage and residency stay exact.
+// are HierarchicalCache's, bit for bit.  While core k's run occupies
+// the chain, every other core's private levels are owed its cycles,
+// stalls included, and catch up in one advance_idle when their turn
+// starts, at every boundary and before finish() — every level of every
+// core and the LLC live on the same clock, so leakage and residency
+// stay exact.
 //
 // ## Way partitioning (QoS)
 //

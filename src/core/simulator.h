@@ -16,9 +16,10 @@
 // MultiCoreSystem::run (core/multicore.h) — a single core whose private
 // stack is L1 plus every enabled lower level, with no shared level.
 // Cadence, census, contention, clock checks, pricing and SimResult
-// assembly live there once.  A single-level run serves whole batches
-// through ManagedCache::access_batch; deeper stacks route one access at
-// a time.
+// assembly live there once.  A single-level run without contention
+// serves whole batches through ManagedCache::access_batch; deeper
+// stacks and contention runs serve L1 hits in runs and route each
+// miss (route_run, core/hierarchy.h).
 //
 // Timing: the driver runs on the latency-aware clock of core/timing.h.
 // Every access consumes one base cycle plus the stall its outcome
@@ -100,13 +101,11 @@ struct SimConfig {
   std::uint64_t breakeven_override = 0;
 
   /// Accesses fetched from the trace and handed to
-  /// ManagedCache::access_batch per call (clamped to [1, 65536] by the
-  /// driver).  The driver splits batches at re-indexing / observer
-  /// boundaries, so every batch size produces bit-identical results —
-  /// this knob is purely about throughput, and 1 is the per-access
-  /// baseline.  Runs with contention enabled hand the backend one access
-  /// at a time whatever this says: each access's level events arbitrate
-  /// for resources at its own position on the stretched clock.
+  /// ManagedCache::access_batch (or, for stacks and contention runs, to
+  /// route_run) per call (clamped to [1, 65536] by the driver).  The
+  /// driver splits batches at re-indexing / observer boundaries, so
+  /// every batch size produces bit-identical results — this knob is
+  /// purely about throughput, and 1 is the per-access baseline.
   std::uint64_t batch_size = 256;
 
   /// The lower levels that are actually enabled (non-zero-sized).

@@ -99,15 +99,9 @@ inline WakeDepth classify_wake(bool woke, std::uint64_t idle_gap,
 /// count.  One instance per Simulator::run; plain data, no threading.
 class TimingModel {
  public:
-  /// Records one consumed access and its stall.
-  void on_access(std::uint64_t stall_cycles) {
-    ++accesses_;
-    stall_cycles_ += stall_cycles;
-  }
-
   /// Records `n` consumed accesses with `stall_cycles` total stalls in
-  /// one step — numerically identical to n on_access calls, so every
-  /// batch size lands on the same clock.
+  /// one step.  Integer sums, so every batch size lands on the same
+  /// clock.
   void on_batch(std::uint64_t n, std::uint64_t stall_cycles) {
     accesses_ += n;
     stall_cycles_ += stall_cycles;

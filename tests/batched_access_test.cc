@@ -265,7 +265,7 @@ TEST(AccessBatchEquivalence, OutcomesAndStatsMatchScalarLoop) {
 // A null outcome buffer asks for stalls only: the same accesses are
 // simulated (clock, statistics, residencies) and the same summed stall
 // comes back — for every leaf backend, the drowsy wrapper that forwards
-// the null, and a hierarchy on the default per-access loop.
+// the null, and a hierarchy on route_run.
 TEST(AccessBatchEquivalence, NullOutcomesMeanStallsOnly) {
   SyntheticTraceSource src(make_uniform_workload(48 * 1024), 20000);
   const Trace trace = Trace::materialize(src);

@@ -51,13 +51,16 @@ TEST(TimingModel, AccumulatesAccessesAndStalls) {
   TimingModel timing;
   EXPECT_EQ(timing.total_cycles(), 0u);
   EXPECT_DOUBLE_EQ(timing.avg_access_latency(), 0.0);
-  timing.on_access(0);
-  timing.on_access(7);
-  timing.on_access(3);
+  timing.on_batch(1, 0);
+  timing.on_batch(1, 7);
+  timing.on_batch(1, 3);
   EXPECT_EQ(timing.accesses(), 3u);
   EXPECT_EQ(timing.stall_cycles(), 10u);
   EXPECT_EQ(timing.total_cycles(), 13u);
   EXPECT_DOUBLE_EQ(timing.avg_access_latency(), 13.0 / 3.0);
+  timing.on_batch(5, 2);
+  EXPECT_EQ(timing.accesses(), 8u);
+  EXPECT_EQ(timing.total_cycles(), 20u);
 }
 
 TEST(Timing, ZeroLatencyLabelIsUnchanged) {
